@@ -16,32 +16,51 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, MatchbenchError, NumericalError
 from .estimators import (
-    EstimatorResult,
     cca,
     compute_moments,
     mrs_estimate,
     ols_index,
+    population_moments_gaussian,
     spearman_estimate,
 )
 from .market import MarketSpec, MatchedSample, counterexample_market, simulate_market
 from .oracle import (
     CounterexampleReport,
     closed_form_counterexample,
-    gaussian_closed_form,
     monte_carlo_counterexample,
     numeric_counterexample,
+    simulated_monte_carlo,
 )
 from .saliency import rank1_weights, svd_decompose
 from .distributions import gaussian
 
-DATA_METHODS = ("cca", "ols", "spearman", "mrs")
+
+def _spearman(sample: MatchedSample, config: ExperimentConfig, seed: int):
+    return spearman_estimate(
+        sample,
+        restarts=int(config.spearman.get("restarts", 32)),
+        seed=seed,
+        grid_resolution=float(config.spearman.get("grid_resolution", 1e-3)),
+    )
+
+
+# Method name -> estimator of (sample, config, seed). Every entry looks its
+# estimator up by global name when called, so a wrapper installed on this
+# module's attributes (a tracer, a test double) sees the call.
+ESTIMATORS = {
+    "cca": lambda sample, config, seed: cca(compute_moments(sample)),
+    "ols": lambda sample, config, seed: ols_index(sample),
+    "spearman": _spearman,
+    "mrs": lambda sample, config, seed: mrs_estimate(sample).to_result(),
+}
+DATA_METHODS = tuple(ESTIMATORS)
 ALL_METHODS = DATA_METHODS + ("saliency",)
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -78,24 +97,6 @@ class ExperimentConfig:
         if self.sweep is not None and any(int(v) < 2 for v in self.sweep):
             raise ConfigError("sweep: every sample size must be >= 2")
 
-    def to_json_dict(self) -> dict:
-        obj: dict = {
-            "market": self.market.to_json(),
-            "n": self.n,
-            "seed": self.seed,
-            "methods": list(self.methods),
-            "replications": self.replications,
-        }
-        if self.sweep is not None:
-            obj["sweep"] = [int(v) for v in self.sweep]
-        if self.out_dir is not None:
-            obj["out_dir"] = self.out_dir
-        if self.spearman:
-            obj["spearman"] = dict(self.spearman)
-        if self.affinity is not None:
-            obj["affinity"] = [[float(v) for v in row] for row in self.affinity]
-        return obj
-
     @staticmethod
     def from_json_dict(obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
@@ -108,19 +109,27 @@ class ExperimentConfig:
             raise ConfigError("market: missing")
         try:
             market = MarketSpec.from_json(obj["market"])
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"market: {exc}") from exc
         spearman = obj.get("spearman", {})
         if not isinstance(spearman, dict):
             raise ConfigError("spearman: must be an object")
         affinity = obj.get("affinity")
+
+        def read(key, convert, default):
+            value = obj.get(key, default)
+            try:
+                return convert(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key}: invalid value {value!r}") from exc
+
         return ExperimentConfig(
             market=market,
-            n=int(obj.get("n", 1000)),
-            seed=int(obj.get("seed", 0)),
-            methods=tuple(obj.get("methods", ["cca"])),
-            sweep=tuple(int(v) for v in obj["sweep"]) if "sweep" in obj else None,
-            replications=int(obj.get("replications", 1)),
+            n=read("n", int, 1000),
+            seed=read("seed", int, 0),
+            methods=read("methods", tuple, ["cca"]),
+            sweep=read("sweep", lambda v: tuple(int(x) for x in v), None) if "sweep" in obj else None,
+            replications=read("replications", int, 1),
             out_dir=obj.get("out_dir"),
             spearman=spearman,
             affinity=np.asarray(affinity, dtype=float) if affinity is not None else None,
@@ -150,17 +159,6 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
 
 
-def _thread_count() -> int:
-    default = min(4, os.cpu_count() or 1)
-    env = os.environ.get("MATCHBENCH_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"MATCHBENCH_THREADS: {env!r} is not an integer") from exc
-    return default
-
-
 def angular_error(estimate, truth) -> float:
     """Angle between weight directions, invariant to scale and sign."""
     e = np.asarray(estimate, dtype=float)
@@ -170,18 +168,11 @@ def angular_error(estimate, truth) -> float:
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    changes = {}
-    if getattr(args, "n", None) is not None:
-        changes["n"] = args.n
-    if getattr(args, "seed", None) is not None:
-        changes["seed"] = args.seed
+    """``config`` with the --n, --seed and --methods overrides, revalidated."""
+    changes = {k: getattr(args, k) for k in ("n", "seed") if getattr(args, k, None) is not None}
     if getattr(args, "methods", None):
         changes["methods"] = tuple(args.methods.split(","))
-    if not changes:
-        return config
-    base = config.to_json_dict()
-    base.update({k: (list(v) if isinstance(v, tuple) else v) for k, v in changes.items()})
-    return ExperimentConfig.from_json_dict(base)
+    return replace(config, **changes)
 
 
 def _out_dir(args, config: ExperimentConfig | None = None) -> Path:
@@ -217,37 +208,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _estimate_one(method: str, sample: MatchedSample, config: ExperimentConfig) -> EstimatorResult:
-    if method == "cca":
-        return cca(compute_moments(sample))
-    if method == "ols":
-        return ols_index(sample)
-    if method == "spearman":
-        opts = config.spearman
-        return spearman_estimate(
-            sample,
-            restarts=int(opts.get("restarts", 32)),
-            seed=_derived_seed(config.seed, 1),
-            grid_resolution=float(opts.get("grid_resolution", 1e-3)),
-        )
-    if method == "mrs":
-        return mrs_estimate(sample).to_result()
-    raise ConfigError(f"method {method!r} cannot run on a sample")
-
-
-def _estimate_saliency(config: ExperimentConfig, rank_tol: float) -> dict:
-    if config.affinity is None:
-        raise ConfigError("affinity: methods include 'saliency' but no affinity matrix is configured")
-    decomp = svd_decompose(config.affinity, rank_tol=rank_tol)
-    obj = {"method": "saliency", **decomp.to_json_dict()}
+def _saliency_payload(matrix, rank_tol: float) -> dict:
+    """SVD summary of an affinity matrix, plus its weights when it has rank one."""
+    decomp = svd_decompose(matrix, rank_tol=rank_tol)
+    payload = decomp.to_json_dict()
     if decomp.numerical_rank == 1:
         alpha, beta = rank1_weights(decomp)
-        obj["alpha"] = [float(a) for a in alpha]
-        obj["beta"] = [float(b) for b in beta]
-    else:
-        obj["alpha"] = None
-        obj["beta"] = None
-    return obj
+        payload["alpha"] = [float(a) for a in alpha]
+        payload["beta"] = [float(b) for b in beta]
+    return payload
 
 
 def cmd_estimate(args) -> int:
@@ -262,44 +231,19 @@ def cmd_estimate(args) -> int:
     for method in config.methods:
         started = time.perf_counter()
         if method == "saliency":
-            payload = _estimate_saliency(config, rank_tol=args.tol if args.tol is not None else 1e-8)
+            if config.affinity is None:
+                raise ConfigError("affinity: methods include 'saliency' but no affinity matrix is configured")
+            rank_tol = args.tol if args.tol is not None else 1e-8
+            payload = {"method": "saliency", "alpha": None, "beta": None,
+                       **_saliency_payload(config.affinity, rank_tol)}
         else:
-            payload = _estimate_one(method, sample, config).to_json_dict()
+            payload = ESTIMATORS[method](sample, config, _derived_seed(config.seed, 1)).to_json_dict()
         elapsed = time.perf_counter() - started
         path = out / f"estimate_{method}.json"
         write_json(path, payload)
         # timing stays on the console so report files are reproducible
         print(f"{method}: wrote {path} in {elapsed:.3f}s")
     return 0
-
-
-def _report_from_sample(spec: MarketSpec, n: int, seed: int) -> CounterexampleReport:
-    """Monte Carlo column obtained through the full simulation pipeline."""
-    sample = simulate_market(spec, n, seed)
-    v = sample.y_index(spec.beta)
-    vc = v - v.mean()
-    covs, ses = [], []
-    for j in range(2):
-        prods = (sample.xs[:, j] - sample.xs[:, j].mean()) * vc
-        covs.append(float(prods.mean()))
-        ses.append(float(np.std(prods, ddof=1) / math.sqrt(n)))
-    ratio = covs[1] / covs[0]
-    stderrs = {
-        "cov_x1": ses[0],
-        "cov_x2": ses[1],
-        "ratio_cca": abs(ratio) * math.hypot(ses[0] / covs[0], ses[1] / covs[1]),
-    }
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_true = float(np.divide(spec.alpha[1], spec.alpha[0]))
-    return CounterexampleReport(
-        cov_x1=covs[0],
-        cov_x2=covs[1],
-        ratio_cca=ratio,
-        ratio_true=ratio_true,
-        expectation_terms={},
-        method="monte_carlo",
-        stderrs=stderrs,
-    )
 
 
 def _gaussian_comparison_market() -> MarketSpec:
@@ -321,14 +265,14 @@ def cmd_counterexample(args) -> int:
 
     if args.gaussian:
         spec = _gaussian_comparison_market()
-        closed = gaussian_closed_form(spec)
-        quad = numeric_counterexample(spec, tol)
-        mc = _report_from_sample(spec, n, seed)
+        # the transfer map is linear, so cov(X, T) is the population Sxy times beta
+        cov_x1, cov_x2 = population_moments_gaussian(spec).Sxy @ spec.beta
+        closed = CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "closed_form")
     else:
         spec = counterexample_market()
         closed = closed_form_counterexample()
-        quad = numeric_counterexample(spec, tol)
-        mc = monte_carlo_counterexample(n, seed)
+    quad = numeric_counterexample(spec, tol)
+    mc = simulated_monte_carlo(spec, n, seed) if args.gaussian else monte_carlo_counterexample(n, seed)
 
     def within(a: float, b: float, band: float) -> bool:
         return bool(abs(a - b) <= band)
@@ -374,27 +318,6 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class BenchmarkTable:
-    """Aggregated weight-recovery errors per (method, sample size)."""
-
-    rows: list[dict]
-
-    def write_csv(self, path: Path) -> None:
-        header = ["method", "n", "replications", "mean_angular_error", "sd_angular_error", "mean_ratio"]
-        out_rows = []
-        for row in self.rows:
-            out_rows.append([
-                row["method"],
-                row["n"],
-                row["replications"],
-                row["mean_angular_error"],
-                "" if row["sd_angular_error"] is None else row["sd_angular_error"],
-                "" if row["mean_ratio"] is None else row["mean_ratio"],
-            ])
-        write_csv(path, header, out_rows)
-
-
 def _benchmark_task(config: ExperimentConfig, n: int, rep: int, task_index: int) -> list[dict]:
     sim_seed = _derived_seed(config.seed, task_index, 0)
     est_seed = _derived_seed(config.seed, task_index, 1)
@@ -402,15 +325,7 @@ def _benchmark_task(config: ExperimentConfig, n: int, rep: int, task_index: int)
     truth = config.market.alpha
     records = []
     for method in config.methods:
-        if method == "spearman":
-            result = spearman_estimate(
-                sample,
-                restarts=int(config.spearman.get("restarts", 32)),
-                seed=est_seed,
-                grid_resolution=float(config.spearman.get("grid_resolution", 1e-3)),
-            )
-        else:
-            result = _estimate_one(method, sample, config)
+        result = ESTIMATORS[method](sample, config, est_seed)
         ratio = None
         if config.market.dx == 2 and result.alpha_hat[0] != 0:
             ratio = float(result.alpha_hat[1] / result.alpha_hat[0])
@@ -434,14 +349,10 @@ def cmd_benchmark(args) -> int:
             raise ConfigError(f"methods: {m!r} cannot run in a benchmark sweep")
     out = _out_dir(args, config)
 
-    tasks = [
-        (n, rep, idx)
-        for idx, (n, rep) in enumerate(
-            (n, rep) for n in config.sweep for rep in range(config.replications)
-        )
-    ]
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        futures = [pool.submit(_benchmark_task, config, n, rep, idx) for n, rep, idx in tasks]
+    tasks = [(n, rep) for n in config.sweep for rep in range(config.replications)]
+    # outputs do not depend on the worker count: every task seeds itself from its index
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+        futures = [pool.submit(_benchmark_task, config, n, rep, idx) for idx, (n, rep) in enumerate(tasks)]
         records = [row for fut in futures for row in fut.result()]
 
     records.sort(key=lambda r: (r["method"], r["n"], r["replication"]))
@@ -458,16 +369,16 @@ def cmd_benchmark(args) -> int:
         for n in sorted(config.sweep):
             errs = [r["angular_error"] for r in records if r["method"] == method and r["n"] == n]
             ratios = [r["ratio"] for r in records if r["method"] == method and r["n"] == n and r["ratio"] is not None]
-            table_rows.append({
-                "method": method,
-                "n": n,
-                "replications": len(errs),
-                "mean_angular_error": float(np.mean(errs)),
-                "sd_angular_error": float(np.std(errs, ddof=1)) if len(errs) > 1 else None,
-                "mean_ratio": float(np.mean(ratios)) if ratios else None,
-            })
-    table = BenchmarkTable(rows=table_rows)
-    table.write_csv(out / "benchmark.csv")
+            table_rows.append([
+                method,
+                n,
+                len(errs),
+                float(np.mean(errs)),
+                float(np.std(errs, ddof=1)) if len(errs) > 1 else "",
+                float(np.mean(ratios)) if ratios else "",
+            ])
+    write_csv(out / "benchmark.csv",
+              ["method", "n", "replications", "mean_angular_error", "sd_angular_error", "mean_ratio"], table_rows)
     print(f"wrote {out / 'benchmark.csv'} and {out / 'benchmark_long.csv'} "
           f"({len(records)} estimator runs)")
     return 0
@@ -490,15 +401,10 @@ def cmd_saliency(args) -> int:
     else:
         raise ConfigError("saliency needs --affinity CSV or --config with an inline matrix")
     out = _out_dir(args)
-    decomp = svd_decompose(matrix, rank_tol=rank_tol)
-    payload = decomp.to_json_dict()
-    if decomp.numerical_rank == 1:
-        alpha, beta = rank1_weights(decomp)
-        payload["alpha"] = [float(a) for a in alpha]
-        payload["beta"] = [float(b) for b in beta]
+    payload = _saliency_payload(matrix, rank_tol)
     write_json(out / "saliency.json", payload)
-    shares = ", ".join(f"{s:.4f}" for s in decomp.shares)
-    print(f"numerical rank {decomp.numerical_rank} (tol {rank_tol}); surplus shares: {shares}")
+    shares = ", ".join(f"{s:.4f}" for s in payload["shares"])
+    print(f"numerical rank {payload['rank']} (tol {rank_tol}); surplus shares: {shares}")
     print(f"wrote {out / 'saliency.json'}")
     return 0
 
@@ -559,10 +465,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

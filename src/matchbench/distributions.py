@@ -81,14 +81,6 @@ class DistributionModel:
             return 1.0 / self.param**2
         return 1.0 / 12.0
 
-    def support(self) -> tuple[float, float]:
-        return {
-            "gaussian": (-math.inf, math.inf),
-            "rademacher": (-1.0, 1.0),
-            "exponential": (0.0, math.inf),
-            "uniform01": (0.0, 1.0),
-        }[self.kind]
-
     def atoms(self) -> list[tuple[float, float]]:
         """(value, probability) pairs for purely atomic kinds."""
         if self.kind != "rademacher":
@@ -183,14 +175,6 @@ def sample(dist: DistributionModel, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError("need n >= 1")
     return dist.draw(n, seed_streams(seed, 1)[0])
-
-
-def cdf(dist: DistributionModel, z):
-    return dist.cdf(z)
-
-
-def quantile(dist: DistributionModel, p):
-    return dist.quantile(p)
 
 
 def scaled_cdf(dist: DistributionModel, scale: float, t):

@@ -139,13 +139,6 @@ class MarketSpec:
         if self.q_components is not None:
             object.__setattr__(self, "q_components", tuple(self.q_components))
 
-    def component_vars(self, side: str) -> np.ndarray:
-        comps = self.p_components if side == "x" else self.q_components
-        cov = self.p_cov if side == "x" else self.q_cov
-        if comps is not None:
-            return np.array([c.var() for c in comps])
-        return np.diag(cov).copy()
-
     def to_json(self) -> dict:
         obj: dict = {
             "dx": self.dx,
@@ -173,6 +166,9 @@ class MarketSpec:
         extra = set(obj) - allowed
         if extra:
             raise ValueError(f"unknown market keys {sorted(extra)}")
+        missing = [key for key in ("dx", "dy", "alpha", "beta") if obj.get(key) is None]
+        if missing:
+            raise ValueError(f"missing market keys {missing}")
         phi = obj.get("phi", "product")
         if phi != "product":
             raise ValueError("only the product surplus is serializable")

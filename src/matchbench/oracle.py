@@ -22,7 +22,7 @@ from .distributions import (
     seed_streams,
 )
 from .errors import QuadratureConvergenceError
-from .market import MarketSpec
+from .market import MarketSpec, simulate_market
 
 _EXP1 = exponential(1.0)
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -117,6 +117,7 @@ class CounterexampleReport:
 
     ``ratio_cca`` is the second-to-first weight ratio canonical correlation
     recovers (cov_x2 / cov_x1); ``ratio_true`` is the generating ratio.
+    ``symbolic`` maps quantity names to exact formulas, where they are known.
     """
 
     cov_x1: float
@@ -126,12 +127,30 @@ class CounterexampleReport:
     expectation_terms: dict[str, float]
     method: str
     stderrs: dict[str, float] | None = None
+    symbolic: dict[str, str] | None = None
+
+    @staticmethod
+    def from_covariances(alpha, cov_x1: float, cov_x2: float, method: str,
+                         expectation_terms=None, stderrs=None) -> "CounterexampleReport":
+        """Report whose ratios are cov_x2 / cov_x1 and alpha[1] / alpha[0]."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio_cca = float(np.divide(cov_x2, cov_x1))
+            ratio_true = float(np.divide(alpha[1], alpha[0]))
+        return CounterexampleReport(
+            cov_x1=float(cov_x1),
+            cov_x2=float(cov_x2),
+            ratio_cca=ratio_cca,
+            ratio_true=ratio_true,
+            expectation_terms=expectation_terms or {},
+            method=method,
+            stderrs=stderrs,
+        )
 
     def to_json_dict(self) -> dict:
         def entry(name: str, value: float) -> dict:
             out = {"value": float(value), "decimal17": format(float(value), ".17g")}
-            if self.method == "closed_form" and name in _SYMBOLIC:
-                out["symbolic"] = _SYMBOLIC[name]
+            if self.symbolic and name in self.symbolic:
+                out["symbolic"] = self.symbolic[name]
             return out
 
         obj = {
@@ -187,6 +206,7 @@ def closed_form_counterexample() -> CounterexampleReport:
         ratio_true=1.0,
         expectation_terms=counterexample_expectations(),
         method="closed_form",
+        symbolic=_SYMBOLIC,
     )
 
 
@@ -313,46 +333,27 @@ def numeric_counterexample(spec: MarketSpec, tol: float) -> CounterexampleReport
     mean_x2t = mean_over(lambda x1v, x2: x2 * tmap(a1 * x1v + a2 * x2))
     cov_x1 = mean_x1t - d1.mean() * mean_t
     cov_x2 = mean_x2t - d2.mean() * mean_t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_cca = float(np.divide(cov_x2, cov_x1))
-        ratio_true = float(np.divide(a2, a1))
     terms = quadrature_expectations(tol) if _is_benchmark_market(spec) else {}
-    return CounterexampleReport(
-        cov_x1=cov_x1,
-        cov_x2=cov_x2,
-        ratio_cca=ratio_cca,
-        ratio_true=ratio_true,
-        expectation_terms=terms,
-        method="quadrature",
-    )
+    return CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "quadrature", terms)
 
 
-def gaussian_closed_form(spec: MarketSpec) -> CounterexampleReport:
-    """Exact covariances when both sides are Gaussian components: the
-    transfer map is linear, so cov(X_i, T) = slope * alpha_i * var_i."""
-    if spec.dx != 2 or spec.dy != 1:
-        raise ValueError("needs dx=2 and dy=1")
-    if spec.p_components is None or spec.q_components is None:
-        raise ValueError("needs independent components on both sides")
-    if any(c.kind != "gaussian" for c in spec.p_components + spec.q_components):
-        raise ValueError("all components must be gaussian")
-    a1, a2 = float(spec.alpha[0]), float(spec.alpha[1])
-    sd1, sd2 = spec.p_components[0].param, spec.p_components[1].param
-    sd_u = math.hypot(a1 * sd1, a2 * sd2)
-    slope = abs(spec.beta[0]) * spec.q_components[0].param / sd_u
-    cov_x1 = slope * a1 * sd1**2
-    cov_x2 = slope * a2 * sd2**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_cca = float(np.divide(cov_x2, cov_x1))
-        ratio_true = float(np.divide(a2, a1))
-    return CounterexampleReport(
-        cov_x1=cov_x1,
-        cov_x2=cov_x2,
-        ratio_cca=ratio_cca,
-        ratio_true=ratio_true,
-        expectation_terms={},
-        method="closed_form",
-    )
+def _cov_stderrs(x1, x2, t) -> tuple[float, float, dict[str, float]]:
+    """Sample covariances of x1 and x2 with t, and their standard errors
+    (the ratio's by the delta method)."""
+    n = t.size
+    tc = t - t.mean()
+    covs, ses = [], []
+    for a in (x1, x2):
+        prods = (a - a.mean()) * tc
+        covs.append(float(prods.mean()))
+        ses.append(float(np.std(prods, ddof=1) / math.sqrt(n)))
+    ratio = covs[1] / covs[0]
+    stderrs = {
+        "cov_x1": ses[0],
+        "cov_x2": ses[1],
+        "ratio_cca": abs(ratio) * math.hypot(ses[0] / covs[0], ses[1] / covs[1]),
+    }
+    return covs[0], covs[1], stderrs
 
 
 def monte_carlo_counterexample(n: int = 1_000_000, seed: int = 0) -> CounterexampleReport:
@@ -369,16 +370,7 @@ def monte_carlo_counterexample(n: int = 1_000_000, seed: int = 0) -> Counterexam
     x2 = _EXP1.draw(n, s2)
     yhat = matched_outcome(x1, x2)
     g = _EXP1.cdf
-
-    def mean_se(values) -> tuple[float, float]:
-        return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n))
-
-    def cov_se(a, bvals) -> tuple[float, float]:
-        prods = (a - a.mean()) * (bvals - bvals.mean())
-        return float(prods.mean()), float(np.std(prods, ddof=1) / math.sqrt(n))
-
-    terms = {}
-    stderrs = {}
+    terms, stderrs = {}, {}
     for key, values in (
         ("mean_cdf_shift_plus2", g(x2 + 2.0)),
         ("mean_cdf_shift_minus2", g(x2 - 2.0)),
@@ -387,19 +379,17 @@ def monte_carlo_counterexample(n: int = 1_000_000, seed: int = 0) -> Counterexam
         ("mean_x_cdf_shift0", x2 * g(x2)),
         ("mean_x_matched_outcome", x2 * yhat),
     ):
-        terms[key], stderrs[key] = mean_se(values)
-    cov_x1, se1 = cov_se(x1, yhat)
-    cov_x2, se2 = cov_se(x2, yhat)
-    stderrs["cov_x1"] = se1
-    stderrs["cov_x2"] = se2
-    ratio = cov_x2 / cov_x1
-    stderrs["ratio_cca"] = abs(ratio) * math.hypot(se1 / cov_x1, se2 / cov_x2)
-    return CounterexampleReport(
-        cov_x1=cov_x1,
-        cov_x2=cov_x2,
-        ratio_cca=ratio,
-        ratio_true=1.0,
-        expectation_terms=terms,
-        method="monte_carlo",
-        stderrs=stderrs,
+        terms[key] = float(np.mean(values))
+        stderrs[key] = float(np.std(values, ddof=1) / math.sqrt(n))
+    cov_x1, cov_x2, cov_stderrs = _cov_stderrs(x1, x2, yhat)
+    return CounterexampleReport.from_covariances(
+        (_SQRT1_2, _SQRT1_2), cov_x1, cov_x2, "monte_carlo", terms, {**stderrs, **cov_stderrs}
     )
+
+
+def simulated_monte_carlo(spec: MarketSpec, n: int, seed: int) -> CounterexampleReport:
+    """Monte Carlo column of a two-attribute market, obtained through the full
+    simulation pipeline (sampling and the coupling sort)."""
+    sample = simulate_market(spec, n, seed)
+    cov_x1, cov_x2, stderrs = _cov_stderrs(sample.xs[:, 0], sample.xs[:, 1], sample.y_index(spec.beta))
+    return CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "monte_carlo", stderrs=stderrs)

@@ -1,12 +1,17 @@
+import argparse
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from matchbench import MatchedSample
-from matchbench.cli import ExperimentConfig, load_config, main
+import matchbench
+from matchbench import ConfigError, MatchedSample
+from matchbench.cli import _apply_overrides, load_config, main
 
 COUNTEREXAMPLE_MARKET = {
     "dx": 2,
@@ -17,6 +22,8 @@ COUNTEREXAMPLE_MARKET = {
     "q_components": [{"kind": "uniform01"}],
     "phi": "product",
 }
+
+MISSING = object()
 
 
 def write_config(path, **overrides):
@@ -33,11 +40,42 @@ def write_config(path, **overrides):
 
 
 class TestConfig:
-    def test_round_trip_identity(self, tmp_path):
+    def test_load_and_overrides_validate(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", sweep=[100, 200], spearman={"restarts": 4})
         config = load_config(path)
-        again = ExperimentConfig.from_json_dict(config.to_json_dict())
-        assert again.to_json_dict() == config.to_json_dict()
+        assert (config.n, config.seed, config.methods, config.sweep) == (400, 7, ("cca", "ols"), (100, 200))
+        assert (config.replications, config.spearman) == (2, {"restarts": 4})
+        changed = _apply_overrides(config, argparse.Namespace(n=50, seed=3, methods="spearman,mrs"))
+        assert (changed.n, changed.seed, changed.methods) == (50, 3, ("spearman", "mrs"))
+        assert (changed.sweep, changed.replications, changed.spearman) == ((100, 200), 2, {"restarts": 4})
+        for bad in ({"n": 1}, {"methods": "cca,pca"}):
+            args = argparse.Namespace(**{"n": None, "seed": None, "methods": None, **bad})
+            with pytest.raises(ConfigError):
+                _apply_overrides(config, args)
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("market.dx", MISSING, "'dx'"),
+        ("market.dy", MISSING, "'dy'"),
+        ("market.alpha", MISSING, "'alpha'"),
+        ("market.beta", MISSING, "'beta'"),
+        ("market.dx", None, "'dx'"),
+        ("n", None, "n:"),
+        ("seed", None, "seed:"),
+        ("sweep", None, "sweep:"),
+    ], ids=["no-dx", "no-dy", "no-alpha", "no-beta", "null-dx", "null-n", "null-seed", "null-sweep"])
+    def test_missing_or_null_field_is_named(self, tmp_path, capsys, key, value, shown):
+        config = {"market": dict(COUNTEREXAMPLE_MARKET), "n": 400, "seed": 7}
+        target = config["market"] if key.startswith("market.") else config
+        name = key.removeprefix("market.")
+        if value is MISSING:
+            del target[name]
+        else:
+            target[name] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert shown in capsys.readouterr().err
 
     def test_zero_weight_rejected_with_field_name(self, tmp_path, capsys):
         market = dict(COUNTEREXAMPLE_MARKET, alpha=[0.0, 0.0])
@@ -133,6 +171,19 @@ class TestEstimate:
         payload = json.loads((out / "estimate_saliency.json").read_text())
         np.testing.assert_allclose(payload["alpha"], alpha, atol=1e-10)
 
+    def test_saliency_method_matches_saliency_command(self, tmp_path):
+        for affinity in ([[0.6], [0.8]], [[1.0, 2.0], [0.5, 0.3]]):
+            cfg = write_config(tmp_path / "cfg.json", methods=["saliency"], affinity=affinity)
+            est, sal = tmp_path / "est", tmp_path / "sal"
+            main(["simulate", "--config", str(cfg), "--out", str(est)])
+            assert main(["estimate", "--config", str(cfg), "--sample", str(est / "sample.csv"),
+                         "--out", str(est)]) == 0
+            assert main(["saliency", "--config", str(cfg), "--out", str(sal)]) == 0
+            estimate = json.loads((est / "estimate_saliency.json").read_text())
+            saliency = json.loads((sal / "saliency.json").read_text())
+            for key in ("lambdas", "shares", "rank", "U", "V", "alpha", "beta"):
+                assert estimate[key] == saliency.get(key), key
+
     def test_dimension_mismatch_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         sample = MatchedSample(xs=np.random.default_rng(0).normal(size=(50, 3)),
@@ -171,6 +222,11 @@ class TestCounterexampleCommand:
         assert rc == 0
         payload = json.loads((tmp_path / "counterexample.json").read_text())
         assert payload["flag"] == "CONSISTENT"
+        closed = payload["closed_form"]
+        assert closed["cov_x1"]["value"] == 0.7071067811865476
+        # the benchmark market's formulas belong to the benchmark market only
+        for key in ("cov_x1", "cov_x2", "ratio_cca", "ratio_true"):
+            assert "symbolic" not in closed[key], key
 
     def test_tolerance_is_plumbed_through(self, tmp_path):
         rc = main(["counterexample", "--tol", "1e-3", "--n", "5000", "--out", str(tmp_path)])
@@ -189,9 +245,9 @@ class TestBenchmark:
     def test_table_shape_and_determinism(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "cfg.json", sweep=[200, 400], replications=3)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("MATCHBENCH_THREADS", "1")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert main(["benchmark", "--config", str(cfg), "--out", str(out1)]) == 0
-        monkeypatch.setenv("MATCHBENCH_THREADS", "3")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert main(["benchmark", "--config", str(cfg), "--out", str(out2)]) == 0
         assert (out1 / "benchmark.csv").read_bytes() == (out2 / "benchmark.csv").read_bytes()
         assert (out1 / "benchmark_long.csv").read_bytes() == (out2 / "benchmark_long.csv").read_bytes()
@@ -235,10 +291,13 @@ class TestSaliencyCommand:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n=100)
+        # the child imports matchbench from wherever this process found it
+        src = str(Path(matchbench.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "matchbench", "simulate",
              "--config", str(cfg), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "sample.csv").exists()
