@@ -259,6 +259,8 @@ def _gaussian_comparison_market() -> MarketSpec:
 
 def cmd_counterexample(args) -> int:
     tol = args.tol if args.tol is not None else 1e-9
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol: must be a finite positive number, got {tol!r}")
     n = args.n if args.n is not None else 1_000_000
     seed = args.seed if args.seed is not None else 0
     out = _out_dir(args)

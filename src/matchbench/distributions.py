@@ -36,6 +36,13 @@ def _as_float_array(z):
     return arr, arr.ndim == 0
 
 
+def _as_probabilities(p):
+    arr, scalar = _as_float_array(p)
+    if ((arr <= 0.0) | (arr >= 1.0)).any():
+        raise ValueError("quantile requires probabilities strictly inside (0, 1)")
+    return arr, scalar
+
+
 @dataclass(frozen=True)
 class DistributionModel:
     """A univariate attribute law identified by ``kind`` and one parameter.
@@ -100,6 +107,19 @@ class DistributionModel:
             out = np.clip(arr, 0.0, 1.0)
         return float(out) if scalar else out
 
+    def sf(self, z):
+        """Survival function P(Z > z), computed directly rather than as 1 - cdf(z)."""
+        arr, scalar = _as_float_array(z)
+        if self.kind == "gaussian":
+            out = ndtr(-arr / self.param)
+        elif self.kind == "rademacher":
+            out = np.where(arr < -1.0, 1.0, np.where(arr < 1.0, 0.5, 0.0))
+        elif self.kind == "exponential":
+            out = np.where(arr < 0.0, 1.0, np.exp(-self.param * np.maximum(arr, 0.0)))
+        else:
+            out = np.clip(1.0 - arr, 0.0, 1.0)
+        return float(out) if scalar else out
+
     def pdf(self, z):
         """Density of continuous kinds; atomic kinds have no density."""
         if self.kind == "rademacher":
@@ -116,9 +136,7 @@ class DistributionModel:
 
     def quantile(self, p):
         """Smallest z with cdf(z) >= p, for p strictly inside (0, 1)."""
-        arr, scalar = _as_float_array(p)
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-            raise ValueError("quantile requires probabilities strictly inside (0, 1)")
+        arr, scalar = _as_probabilities(p)
         if self.kind == "gaussian":
             out = self.param * ndtri(arr)
         elif self.kind == "rademacher":
@@ -127,6 +145,20 @@ class DistributionModel:
             out = -np.log1p(-arr) / self.param
         else:
             out = arr.copy()
+        return float(out) if scalar else out
+
+    def isf(self, s):
+        """Upper-tail quantile: quantile(1 - s), for s strictly inside (0, 1),
+        without forming 1 - s, so it keeps full precision as s nears 0."""
+        arr, scalar = _as_probabilities(s)
+        if self.kind == "gaussian":
+            out = -self.param * ndtri(arr)
+        elif self.kind == "rademacher":
+            out = np.where(arr >= 0.5, -1.0, 1.0)
+        elif self.kind == "exponential":
+            out = -np.log(arr) / self.param
+        else:
+            out = 1.0 - arr
         return float(out) if scalar else out
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -177,37 +209,54 @@ def sample(dist: DistributionModel, n: int, seed: int) -> np.ndarray:
     return dist.draw(n, seed_streams(seed, 1)[0])
 
 
-def scaled_cdf(dist: DistributionModel, scale: float, t):
-    """CDF of scale * Z at t, scale != 0.
+def _reflected(dist: DistributionModel, scale: float) -> tuple[float, bool]:
+    """``(scale, flipped)`` for reading scale * Z off the law of Z.
 
-    Symmetric kinds absorb a negative scale; for the asymmetric continuous
-    kinds the reflection formula P(cZ <= t) = 1 - F(t/c) applies.
+    Symmetric kinds absorb a negative scale. For the asymmetric continuous
+    kinds a negative scale swaps the tails: P(cZ <= t) = P(Z >= t/c), and
+    ``flipped`` is True.
     """
     if scale == 0:
         raise ValueError("scale must be nonzero")
     if scale > 0:
-        return dist.cdf(np.asarray(t, float) / scale)
+        return scale, False
     if self_symmetric(dist):
-        return dist.cdf(np.asarray(t, float) / -scale)
+        return -scale, False
     if not dist.is_continuous:
         raise ValueError("negative scaling of an asymmetric atomic law is unsupported")
-    arr, scalar = _as_float_array(t)
-    out = 1.0 - dist.cdf(arr / scale)
-    return float(out) if scalar else out
+    return scale, True
 
 
-def scaled_quantile(dist: DistributionModel, scale: float, p):
-    """Quantile of scale * Z, scale != 0, p strictly inside (0, 1)."""
-    if scale == 0:
-        raise ValueError("scale must be nonzero")
-    if scale > 0:
-        return scale * dist.quantile(p)
-    if self_symmetric(dist):
-        return -scale * dist.quantile(p)
-    if not dist.is_continuous:
-        raise ValueError("negative scaling of an asymmetric atomic law is unsupported")
-    arr, scalar = _as_float_array(p)
-    out = scale * dist.quantile(1.0 - arr)
+def scaled_cdf(dist: DistributionModel, scale: float, t):
+    """CDF of scale * Z at t, scale != 0."""
+    scale, flipped = _reflected(dist, scale)
+    arr = np.asarray(t, float) / scale
+    return dist.sf(arr) if flipped else dist.cdf(arr)
+
+
+def scaled_sf(dist: DistributionModel, scale: float, t):
+    """Survival function P(scale * Z > t), scale != 0."""
+    scale, flipped = _reflected(dist, scale)
+    arr = np.asarray(t, float) / scale
+    return dist.cdf(arr) if flipped else dist.sf(arr)
+
+
+def scaled_quantile(dist: DistributionModel, scale: float, p, q=None):
+    """Quantile of scale * Z at p, scale != 0, p strictly inside (0, 1).
+
+    ``q``, when given, is 1 - p computed without cancellation. Where p > 1/2
+    the quantile is then read off the upper tail at q, so it keeps full
+    precision as p nears 1.
+    """
+    scale, flipped = _reflected(dist, scale)
+    lower, upper = (dist.isf, dist.quantile) if flipped else (dist.quantile, dist.isf)
+    if q is None:
+        return scale * lower(p)
+    p, scalar = _as_float_array(p)
+    in_upper = p > 0.5
+    out = scale * np.where(
+        in_upper, upper(np.where(in_upper, q, 0.5)), lower(np.where(in_upper, 0.5, p))
+    )
     return float(out) if scalar else out
 
 

@@ -19,6 +19,7 @@ from .distributions import (
     exponential,
     scaled_cdf,
     scaled_quantile,
+    scaled_sf,
     seed_streams,
 )
 from .errors import QuadratureConvergenceError
@@ -52,63 +53,105 @@ _GK_WEIGHTS_K = np.array([row[2] for row in _GK_TABLE])
 _MAX_DEPTH = 64
 
 
-def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
+@dataclass
+class QuadratureStats:
+    """Deterministic work counters of adaptive quadrature: G7/K15 panels
+    evaluated and the deepest refinement level reached."""
+
+    panels: int = 0
+    max_depth: int = 0
+
+    def to_json_dict(self) -> dict:
+        return {"panels": self.panels, "max_depth": self.max_depth}
+
+
+def _gk15(f: Callable, a, b):
+    """K15 estimate over [a, b] and the largest |K15 - G7| difference.
+
+    A vector-valued ``f`` returns an array whose last axis runs over the
+    nodes, and the estimate is an array. ``a`` and ``b`` may be arrays too,
+    one interval per component; ``f`` then gets one row of nodes per interval.
+    """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fx = np.asarray(f(center + half * _GK_NODES), dtype=float)
-    k = half * float(fx @ _GK_WEIGHTS_K)
-    g = half * float(fx @ _GK_WEIGHTS_G)
-    return k, abs(k - g)
+    nodes = np.asarray(center)[..., None] + np.asarray(half)[..., None] * _GK_NODES
+    fx = np.asarray(f(nodes), dtype=float)
+    k = half * (fx @ _GK_WEIGHTS_K)
+    g = half * (fx @ _GK_WEIGHTS_G)
+    return k, float(np.abs(k - g).max())
 
 
-def _adaptive(f: Callable, a: float, b: float, budget: float, depth: int = 0) -> float:
+def _adaptive(f: Callable, a, b, budget: float, stats: QuadratureStats, depth: int = 0):
     value, err = _gk15(f, a, b)
-    if err <= budget or err <= 5e-16 * (1.0 + abs(value)):
+    stats.panels += 1
+    stats.max_depth = max(stats.max_depth, depth)
+    if err <= budget or err <= 5e-16 * (1.0 + float(np.abs(value).max())):
         return value
     if depth >= _MAX_DEPTH:
         raise QuadratureConvergenceError(
             f"panel [{a}, {b}] did not converge after {_MAX_DEPTH} refinements"
         )
     mid = 0.5 * (a + b)
-    return _adaptive(f, a, mid, 0.5 * budget, depth + 1) + _adaptive(
-        f, mid, b, 0.5 * budget, depth + 1
+    return _adaptive(f, a, mid, 0.5 * budget, stats, depth + 1) + _adaptive(
+        f, mid, b, 0.5 * budget, stats, depth + 1
     )
 
 
-def quad_integrate(f: Callable, weight: DistributionModel, tol: float) -> float:
+def quad_integrate(f: Callable, weight: DistributionModel, tol: float,
+                   stats: QuadratureStats | None = None, breaks=None):
     """E[f(Z)] for Z ~ weight by adaptive G7/K15 panels.
 
-    ``f`` must accept ndarray input. Unbounded supports are truncated at
-    extreme quantiles chosen from ``tol``; the clipped tail is re-added as
-    mass times f at the tail's conditional mean, which is exact for affine
-    integrands and negligible otherwise at these tail masses. Atomic
-    weights reduce to exact sums.
+    ``f`` must accept ndarray input. It may be vector-valued, returning an
+    array whose last axis runs over the input points; the result is then an
+    array and every component meets ``tol``. Unbounded supports are
+    truncated at extreme quantiles chosen from ``tol``; the clipped tail is
+    re-added as mass times f at the tail's conditional mean, which is exact
+    for affine integrands and negligible otherwise at these tail masses.
+    Atomic weights reduce to exact sums. Panels are counted into ``stats``.
+
+    ``breaks`` (optional, shape ``(components, k)``) lists the points where
+    each component of ``f`` has a kink. Every component is then integrated
+    piecewise between its own breaks, and a row of nodes passed to ``f``
+    belongs to one component.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    stats = stats if stats is not None else QuadratureStats()
+
+    def at(z: float):
+        return np.asarray(f(np.array([z])), dtype=float)[..., 0]
+
+    def core(integrand, lo: float, hi: float, budget: float):
+        if breaks is None:
+            return _adaptive(integrand, lo, hi, budget, stats)
+        cuts = np.sort(np.clip(breaks, lo, hi), axis=-1).T
+        edges = [lo, *cuts, hi]
+        share = budget / (len(edges) - 1)
+        return sum(
+            _adaptive(integrand, a, b, share, stats) for a, b in zip(edges, edges[1:]) if np.any(b > a)
+        )
+
     if weight.kind == "rademacher":
-        vals = np.asarray(f(np.array([-1.0, 1.0])), dtype=float)
-        return float(0.5 * (vals[0] + vals[1]))
-    if weight.kind == "uniform01":
-        return _adaptive(f, 0.0, 1.0, tol)
-    integrand = lambda z: np.asarray(f(z), dtype=float) * weight.pdf(z)
-    if weight.kind == "exponential":
-        rate = weight.param
-        tail_mass = tol / 10.0
-        zmax = weight.quantile(1.0 - tail_mass)
-        core = _adaptive(integrand, 0.0, zmax, 0.8 * tol)
-        # memoryless excess: the tail's conditional mean sits 1/rate past zmax
-        tail = tail_mass * float(np.asarray(f(np.array([zmax + 1.0 / rate])))[0])
-        return core + tail
-    # gaussian
-    sd = weight.param
-    tail_mass = tol / 20.0
-    zhi = weight.quantile(1.0 - tail_mass)
-    core = _adaptive(integrand, -zhi, zhi, 0.8 * tol)
-    cond_mean = sd * weight.pdf(zhi) * sd / tail_mass  # sd^2 * pdf / mass, Mills ratio
-    upper = tail_mass * float(np.asarray(f(np.array([cond_mean])))[0])
-    lower = tail_mass * float(np.asarray(f(np.array([-cond_mean])))[0])
-    return core + upper + lower
+        value = 0.5 * (at(-1.0) + at(1.0))
+    elif weight.kind == "uniform01":
+        value = core(f, 0.0, 1.0, tol)
+    else:
+        integrand = lambda z: np.asarray(f(z), dtype=float) * weight.pdf(z)
+        if weight.kind == "exponential":
+            rate = weight.param
+            tail_mass = tol / 10.0
+            zmax = weight.quantile(1.0 - tail_mass)
+            body = core(integrand, 0.0, zmax, 0.8 * tol)
+            # memoryless excess: the tail's conditional mean sits 1/rate past zmax
+            value = body + tail_mass * at(zmax + 1.0 / rate)
+        else:  # gaussian
+            sd = weight.param
+            tail_mass = tol / 20.0
+            zhi = weight.quantile(1.0 - tail_mass)
+            body = core(integrand, -zhi, zhi, 0.8 * tol)
+            cond_mean = sd * weight.pdf(zhi) * sd / tail_mass  # sd^2 * pdf / mass, Mills ratio
+            value = body + tail_mass * at(cond_mean) + tail_mass * at(-cond_mean)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +161,7 @@ class CounterexampleReport:
     ``ratio_cca`` is the second-to-first weight ratio canonical correlation
     recovers (cov_x2 / cov_x1); ``ratio_true`` is the generating ratio.
     ``symbolic`` maps quantity names to exact formulas, where they are known.
+    ``diagnostics`` holds the quadrature work counters of a quadrature report.
     """
 
     cov_x1: float
@@ -128,10 +172,12 @@ class CounterexampleReport:
     method: str
     stderrs: dict[str, float] | None = None
     symbolic: dict[str, str] | None = None
+    diagnostics: QuadratureStats | None = None
 
     @staticmethod
     def from_covariances(alpha, cov_x1: float, cov_x2: float, method: str,
-                         expectation_terms=None, stderrs=None) -> "CounterexampleReport":
+                         expectation_terms=None, stderrs=None,
+                         diagnostics=None) -> "CounterexampleReport":
         """Report whose ratios are cov_x2 / cov_x1 and alpha[1] / alpha[0]."""
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio_cca = float(np.divide(cov_x2, cov_x1))
@@ -144,6 +190,7 @@ class CounterexampleReport:
             expectation_terms=expectation_terms or {},
             method=method,
             stderrs=stderrs,
+            diagnostics=diagnostics,
         )
 
     def to_json_dict(self) -> dict:
@@ -163,6 +210,8 @@ class CounterexampleReport:
         }
         if self.stderrs is not None:
             obj["stderrs"] = {k: format(float(v), ".17g") for k, v in self.stderrs.items()}
+        if self.diagnostics is not None:
+            obj["diagnostics"] = self.diagnostics.to_json_dict()
         return obj
 
 
@@ -230,17 +279,21 @@ def matched_outcome(x1, x2):
     return float(out) if scalar else out
 
 
-def quadrature_expectations(tol: float) -> dict[str, float]:
+def quadrature_expectations(tol: float, stats: QuadratureStats | None = None) -> dict[str, float]:
     """Numerical counterparts of the exact expectations, same keys."""
     g = _EXP1.cdf
-    mean_y_low = quad_integrate(lambda z: z * matched_outcome(-np.ones_like(z), z), _EXP1, tol)
-    mean_y_high = quad_integrate(lambda z: z * matched_outcome(np.ones_like(z), z), _EXP1, tol)
+
+    def mean(fn) -> float:
+        return quad_integrate(fn, _EXP1, tol, stats)
+
+    mean_y_low = mean(lambda z: z * matched_outcome(-np.ones_like(z), z))
+    mean_y_high = mean(lambda z: z * matched_outcome(np.ones_like(z), z))
     return {
-        "mean_cdf_shift_plus2": quad_integrate(lambda z: g(z + 2.0), _EXP1, tol),
-        "mean_cdf_shift_minus2": quad_integrate(lambda z: g(z - 2.0), _EXP1, tol),
-        "mean_x_cdf_shift_minus2": quad_integrate(lambda z: z * g(z - 2.0), _EXP1, tol),
-        "mean_x_cdf_shift_plus2": quad_integrate(lambda z: z * g(z + 2.0), _EXP1, tol),
-        "mean_x_cdf_shift0": quad_integrate(lambda z: z * g(z), _EXP1, tol),
+        "mean_cdf_shift_plus2": mean(lambda z: g(z + 2.0)),
+        "mean_cdf_shift_minus2": mean(lambda z: g(z - 2.0)),
+        "mean_x_cdf_shift_minus2": mean(lambda z: z * g(z - 2.0)),
+        "mean_x_cdf_shift_plus2": mean(lambda z: z * g(z + 2.0)),
+        "mean_x_cdf_shift0": mean(lambda z: z * g(z)),
         "mean_x_matched_outcome": 0.5 * (mean_y_low + mean_y_high),
     }
 
@@ -258,83 +311,115 @@ def _is_benchmark_market(spec: MarketSpec) -> bool:
     )
 
 
-def _population_index_cdf(spec: MarketSpec, tol: float) -> Callable:
+# finite ends of each continuous kind's support, where its CDF has a kink
+_SUPPORT_ENDS = {"gaussian": (), "exponential": (0.0,), "uniform01": (0.0, 1.0)}
+
+
+def _population_index_tails(spec: MarketSpec, tol: float, stats: QuadratureStats) -> Callable:
+    """z -> (F(z), 1 - F(z)) for the x-side index a1 X1 + a2 X2, each tail
+    built from the components' own CDFs or survival functions, so neither
+    is found by subtracting the other from 1."""
     d1, d2 = spec.p_components
     a1, a2 = float(spec.alpha[0]), float(spec.alpha[1])
     if a2 == 0.0:
-        return lambda z: scaled_cdf(d1, a1, z)
+        return lambda z: (scaled_cdf(d1, a1, z), scaled_sf(d1, a1, z))
+    if a1 == 0.0:
+        return lambda z: (scaled_cdf(d2, a2, z), scaled_sf(d2, a2, z))
     if d1.kind == "rademacher":
         shifts = [(a1 * v, p) for v, p in d1.atoms()]
         def mixture(z):
             z = np.asarray(z, dtype=float)
-            return sum(p * scaled_cdf(d2, a2, z - shift) for shift, p in shifts)
+            lower = sum(p * scaled_cdf(d2, a2, z - shift) for shift, p in shifts)
+            upper = sum(p * scaled_sf(d2, a2, z - shift) for shift, p in shifts)
+            return lower, upper
         return mixture
     if d1.kind == "gaussian" and d2.kind == "gaussian":
-        sd = math.hypot(a1 * d1.param, a2 * d2.param)
-        return lambda z: scaled_cdf(DistributionModel("gaussian", sd), 1.0, z)
-    # generic continuous first attribute: integrate the conditional CDF
+        index = DistributionModel("gaussian", math.hypot(a1 * d1.param, a2 * d2.param))
+        return lambda z: (scaled_cdf(index, 1.0, z), scaled_sf(index, 1.0, z))
+    # generic continuous first attribute: both tails of a2 X2 at z - a1 X1,
+    # averaged over X1 for every z at once in one vector-valued quadrature,
+    # split where a2 X2 meets an end of its support so every piece is smooth
+    ends = np.array(_SUPPORT_ENDS[d2.kind])
     def convolved(z):
         z = np.asarray(z, dtype=float)
-        flat = np.atleast_1d(z)
-        out = np.array(
-            [
-                quad_integrate(
-                    lambda x1: scaled_cdf(d2, a2, zi - a1 * x1), d1, tol / 10.0
-                )
-                for zi in flat
-            ]
-        )
-        return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+        column = z.reshape(-1, 1)
+        def tails(x1):
+            t = column - a1 * x1
+            return np.stack([scaled_cdf(d2, a2, t), scaled_sf(d2, a2, t)])
+        lower, upper = quad_integrate(tails, d1, tol / 10.0, stats, breaks=(column - a2 * ends) / a1)
+        return lower.reshape(z.shape), upper.reshape(z.shape)
     return convolved
+
+
+# smallest positive double: keeps both tail probabilities inside (0, 1)
+_P_MIN = 5e-324
+
+
+def population_transfer_map(spec: MarketSpec, tol: float,
+                            stats: QuadratureStats | None = None) -> Callable:
+    """Population transfer map T(z) = Q(F(z)) of a two-attribute market with
+    independent components and a scalar y side: F is the CDF of the x-side
+    index and Q the quantile of the y-side index.
+
+    Where F(z) > 1/2 the map is read off the upper tails, as the y-side
+    upper-tail quantile of 1 - F(z), which keeps full precision far into
+    the tail. ``tol`` and ``stats`` serve the quadrature that a generic
+    continuous first attribute needs for F.
+    """
+    if spec.dx != 2 or spec.dy != 1:
+        raise ValueError("needs dx=2 and dy=1")
+    if spec.p_components is None or spec.q_components is None:
+        raise ValueError("needs independent components on both sides")
+    if not spec.p_components[1].is_continuous:
+        raise ValueError("second x attribute must be continuous")
+    index_tails = _population_index_tails(spec, tol, stats if stats is not None else QuadratureStats())
+    qdist, b = spec.q_components[0], float(spec.beta[0])
+
+    def tmap(z):
+        lower, upper = index_tails(z)
+        return scaled_quantile(qdist, b, np.maximum(lower, _P_MIN), np.maximum(upper, _P_MIN))
+
+    return tmap
 
 
 def numeric_counterexample(spec: MarketSpec, tol: float) -> CounterexampleReport:
     """Quadrature version of the weight-ratio diagnosis for any two-attribute
     market with independent components and a scalar y side.
 
-    The population transfer map is composed from the index CDF and the
-    y-side quantile, then cov(X_i, T) is integrated over atoms and panels.
+    cov(X_i, T) is integrated over atoms and panels of the population
+    transfer map T; the report's diagnostics count the panels.
     """
-    if spec.dx != 2 or spec.dy != 1:
-        raise ValueError("needs dx=2 and dy=1")
-    if spec.p_components is None or spec.q_components is None:
-        raise ValueError("needs independent components on both sides")
+    stats = QuadratureStats()
+    tmap = population_transfer_map(spec, tol, stats)
     d1, d2 = spec.p_components
-    if not d2.is_continuous:
-        raise ValueError("second x attribute must be continuous")
     a1, a2 = float(spec.alpha[0]), float(spec.alpha[1])
-    b = float(spec.beta[0])
-    qdist = spec.q_components[0]
-
-    index_cdf = _population_index_cdf(spec, tol)
-    p_lo = 5e-324
-    p_hi = np.nextafter(1.0, 0.0)
-
-    def tmap(z):
-        p = np.clip(index_cdf(z), p_lo, p_hi)
-        return scaled_quantile(qdist, b, p)
 
     def mean_over(fn) -> float:
-        # fn(x1_value, x2_array) -> array; outer over X1, inner over X2
+        # fn(x1, x2) -> array broadcast over both; outer over X1, inner over X2
         if d1.kind == "rademacher":
             return sum(
-                p * quad_integrate(lambda x2, v=v: fn(v, x2), d2, tol)
+                p * quad_integrate(lambda x2, v=v: fn(v, x2), d2, tol, stats)
                 for v, p in d1.atoms()
             )
+        # The inner integrals of all outer nodes run as one vector-valued pass,
+        # broken where the index density has a kink: where both attributes
+        # sit at an end of their supports.
+        kinks = np.add.outer(a1 * np.array(_SUPPORT_ENDS[d1.kind]), a2 * np.array(_SUPPORT_ENDS[d2.kind])).ravel()
         def outer(x1_nodes):
-            x1_nodes = np.atleast_1d(np.asarray(x1_nodes, dtype=float))
-            return np.array(
-                [quad_integrate(lambda x2, v=float(v): fn(v, x2), d2, tol) for v in x1_nodes]
-            )
-        return quad_integrate(outer, d1, tol)
+            column = np.reshape(x1_nodes, (-1, 1))
+            breaks = None if a2 == 0.0 else (kinks - a1 * column) / a2
+            return quad_integrate(lambda x2: fn(column, x2), d2, tol, stats, breaks=breaks)
+        return quad_integrate(outer, d1, tol, stats)
 
     mean_t = mean_over(lambda x1v, x2: tmap(a1 * x1v + a2 * x2))
     mean_x1t = mean_over(lambda x1v, x2: x1v * tmap(a1 * x1v + a2 * x2))
     mean_x2t = mean_over(lambda x1v, x2: x2 * tmap(a1 * x1v + a2 * x2))
     cov_x1 = mean_x1t - d1.mean() * mean_t
     cov_x2 = mean_x2t - d2.mean() * mean_t
-    terms = quadrature_expectations(tol) if _is_benchmark_market(spec) else {}
-    return CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "quadrature", terms)
+    terms = quadrature_expectations(tol, stats) if _is_benchmark_market(spec) else {}
+    return CounterexampleReport.from_covariances(
+        spec.alpha, cov_x1, cov_x2, "quadrature", terms, diagnostics=stats
+    )
 
 
 def _cov_stderrs(x1, x2, t) -> tuple[float, float, dict[str, float]]:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,30 @@ class TestCounterexampleCommand:
         for out in (out1, out2):
             main(["counterexample", "--tol", "1e-9", "--n", "20000", "--out", str(out)])
         assert (out1 / "counterexample.json").read_bytes() == (out2 / "counterexample.json").read_bytes()
+        diagnostics = json.loads((out1 / "counterexample.json").read_text())["quadrature"]["diagnostics"]
+        assert sorted(diagnostics) == ["max_depth", "panels"]
+        assert all(isinstance(v, int) for v in diagnostics.values())
+
+    def test_readme_gaussian_command_at_default_tol(self, tmp_path):
+        started = time.perf_counter()
+        rc = main(["counterexample", "--gaussian", "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - started
+        assert rc == 0
+        payload = json.loads((tmp_path / "counterexample.json").read_text())
+        assert payload["tol"] == 1e-9
+        for group, flags in payload["agreement"].items():
+            assert all(flags.values()), group
+        for key in ("cov_x1", "cov_x2"):
+            gap = abs(payload["quadrature"][key]["value"] - payload["closed_form"][key]["value"])
+            assert gap <= 10 * payload["tol"], key
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+    def test_rejects_non_finite_or_non_positive_tol(self, tmp_path, capsys, tol):
+        rc = main(["counterexample", f"--tol={tol}", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "tol" in capsys.readouterr().err
+        assert not (tmp_path / "counterexample.json").exists()
 
 
 class TestBenchmark:

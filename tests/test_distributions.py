@@ -21,6 +21,7 @@ from matchbench.distributions import (
     rank_transform,
     scaled_cdf,
     scaled_quantile,
+    scaled_sf,
     seed_streams,
 )
 
@@ -105,6 +106,29 @@ class TestCdfQuantile:
             assert DistributionModel.from_json(d.to_json()) == d
 
 
+class TestUpperTail:
+    @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: f"{d.kind}-{d.param}")
+    def test_sf_complements_cdf(self, dist, rng):
+        z = np.concatenate([rng.uniform(-5, 5, size=1000), [-1.0, 0.0, 1.0]])
+        np.testing.assert_allclose(dist.cdf(z) + dist.sf(z), 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: f"{d.kind}-{d.param}")
+    def test_isf_is_quantile_of_complement(self, dist, rng):
+        s = np.concatenate([rng.uniform(0.001, 0.999, size=1000), [0.25, 0.5, 0.75]])
+        np.testing.assert_allclose(dist.isf(s), dist.quantile(1.0 - s), rtol=1e-9, atol=1e-12)
+
+    def test_far_tail_keeps_precision(self):
+        assert gaussian(1.0).sf(10.0) == pytest.approx(0.5 * math.erfc(10.0 / math.sqrt(2.0)), rel=1e-14)
+        assert exponential(2.0).sf(25.0) == pytest.approx(math.exp(-50.0), rel=1e-14)
+        for dist, z in ((gaussian(1.0), 30.0), (gaussian(2.5), 60.0), (exponential(1.0), 700.0)):
+            assert dist.isf(dist.sf(z)) == pytest.approx(z, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.0, 1.0, -0.1, 1.5])
+    def test_isf_rejects_out_of_range(self, s):
+        with pytest.raises(ValueError):
+            exponential(1.0).isf(s)
+
+
 class TestScaledHelpers:
     def test_scaled_quantile_inverts_scaled_cdf(self, rng):
         for dist in CONTINUOUS:
@@ -112,6 +136,32 @@ class TestScaledHelpers:
                 p = rng.uniform(0.01, 0.99, size=100)
                 t = scaled_quantile(dist, scale, p)
                 np.testing.assert_allclose(scaled_cdf(dist, scale, t), p, atol=1e-10)
+
+    @pytest.mark.parametrize("scale", [2.0, -0.5])
+    @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: f"{d.kind}-{d.param}")
+    def test_scaled_sf_complements_scaled_cdf(self, dist, scale, rng):
+        t = rng.uniform(-4, 4, size=500)
+        np.testing.assert_allclose(scaled_cdf(dist, scale, t) + scaled_sf(dist, scale, t), 1.0, atol=1e-15)
+
+    def test_negative_scale_reflection_keeps_tail(self):
+        # P(-Z <= -40) = P(Z >= 40) = e^-40, which 1 - cdf(40) rounds to 0
+        assert scaled_cdf(exponential(1.0), -1.0, -40.0) == pytest.approx(math.exp(-40.0), rel=1e-14)
+        # ... and the quantile of -Z at that level is -40, where 1 - p rounds to 1
+        assert scaled_quantile(exponential(1.0), -1.0, math.exp(-40.0)) == pytest.approx(-40.0, rel=1e-14)
+
+    @pytest.mark.parametrize("z", [6.0, 8.0, 9.0, 12.0, 30.0])
+    def test_complement_keeps_upper_tail_of_quantile(self, z):
+        d = gaussian(1.0)
+        assert scaled_quantile(d, 1.0, d.cdf(-z), d.sf(-z)) == pytest.approx(-z, rel=1e-12)
+        assert scaled_quantile(d, 1.0, d.cdf(z), d.sf(z)) == pytest.approx(z, rel=1e-12)
+
+    def test_complement_matches_plain_quantile_in_the_body(self, rng):
+        p = rng.uniform(0.01, 0.99, size=200)
+        for dist in CONTINUOUS:
+            for scale in (2.0, -0.5):
+                np.testing.assert_allclose(
+                    scaled_quantile(dist, scale, p, 1.0 - p), scaled_quantile(dist, scale, p), rtol=1e-12, atol=1e-12
+                )
 
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from matchbench import (
     MarketSpec,
     QuadratureConvergenceError,
     closed_form_counterexample,
+    consistency_condition,
     counterexample_expectations,
     counterexample_index_cdf,
     counterexample_market,
@@ -20,7 +22,12 @@ from matchbench import (
     rademacher,
     uniform01,
 )
-from matchbench.oracle import quadrature_expectations
+from matchbench.oracle import (
+    QuadratureStats,
+    population_transfer_map,
+    quadrature_expectations,
+    simulated_monte_carlo,
+)
 
 E2 = math.exp(-2.0)
 
@@ -107,6 +114,25 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             quad_integrate(lambda z: z, exponential(1.0), 0.0)
 
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])
+    def test_rejects_non_finite_or_negative_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            quad_integrate(lambda z: z, exponential(1.0), tol)
+
+    def test_vector_valued_integrand(self):
+        d = gaussian(1.5)
+        got = quad_integrate(lambda z: np.stack([np.ones_like(z), z, z**2]), d, 1e-10)
+        np.testing.assert_allclose(got, [1.0, 0.0, 2.25], atol=1e-9)
+
+    def test_breaks_split_each_component_at_its_kink(self):
+        kinks = np.array([[0.1], [0.5], [0.73]])
+        exact = (kinks[:, 0] ** 2 + (1.0 - kinks[:, 0]) ** 2) / 2.0  # E|U - c|
+        plain, split = QuadratureStats(), QuadratureStats()
+        f = lambda u: np.abs(u - kinks)
+        np.testing.assert_allclose(quad_integrate(f, uniform01(), 1e-12, plain), exact, atol=1e-12)
+        np.testing.assert_allclose(quad_integrate(f, uniform01(), 1e-12, split, breaks=kinks), exact, atol=1e-14)
+        assert split.panels == 2 < plain.panels
+
     def test_nonconvergence_raises(self):
         # divergent integrand: the leftmost panel chain never meets its budget
         with pytest.raises(QuadratureConvergenceError):
@@ -176,3 +202,80 @@ class TestTripleAgreement:
         a = monte_carlo_counterexample(10_000, seed=4)
         b = monte_carlo_counterexample(10_000, seed=4)
         assert a.cov_x1 == b.cov_x1 and a.cov_x2 == b.cov_x2
+
+
+N01_MARKET = MarketSpec(dx=2, dy=1, alpha=[math.sqrt(0.5), math.sqrt(0.5)], beta=[1.0],
+                        p_components=(gaussian(1.0), gaussian(1.0)),
+                        q_components=(gaussian(1.0),))
+EXP_EXP_MARKET = MarketSpec(dx=2, dy=1, alpha=[0.6, 0.8], beta=[1.0],
+                            p_components=(exponential(1.0), exponential(1.0)),
+                            q_components=(uniform01(),))
+UNIFORM_EXP_MARKET = MarketSpec(dx=2, dy=1, alpha=[0.6, 0.8], beta=[1.0],
+                                p_components=(uniform01(), exponential(1.0)),
+                                q_components=(uniform01(),))
+
+
+class TestTailPrecision:
+    @pytest.mark.parametrize("z", [6.0, 8.0, 9.0, 12.0, 30.0])
+    def test_gaussian_transfer_map_is_identity_in_the_tails(self, z):
+        # index and y side are both N(0, 1), so T(z) = z; quantile(cdf(z)) is inf from z = 9 on
+        tmap = population_transfer_map(N01_MARKET, 1e-9)
+        assert tmap(z) == pytest.approx(z, rel=1e-12)
+        assert tmap(-z) == pytest.approx(-z, rel=1e-12)
+
+    def test_gaussian_market_at_tight_tol(self):
+        tol = 1e-9
+        report = numeric_counterexample(N01_MARKET, tol)
+        closed = population_moments_gaussian(N01_MARKET).Sxy @ N01_MARKET.beta
+        assert abs(report.cov_x1 - closed[0]) <= 10 * tol
+        assert abs(report.cov_x2 - closed[1]) <= 10 * tol
+        assert report.diagnostics.panels < 20_000
+
+    def test_consistency_condition_holds_at_tight_tol(self):
+        spec = MarketSpec(dx=2, dy=1, alpha=np.array([1.0, 2.0]) / math.sqrt(5.0), beta=[1.0],
+                          p_components=(gaussian(1.0), gaussian(1.0)),
+                          q_components=(gaussian(1.0),))
+        check = consistency_condition(spec, tol=1e-9)
+        assert check.holds
+        assert check.rhs == pytest.approx(0.5, rel=1e-8)
+
+    def test_diagnostics_repeat_exactly(self):
+        for spec in (counterexample_market(), N01_MARKET, EXP_EXP_MARKET):
+            first = numeric_counterexample(spec, 1e-6).diagnostics
+            second = numeric_counterexample(spec, 1e-6).diagnostics
+            assert first.to_json_dict() == second.to_json_dict()
+            assert first.panels > 0 and first.max_depth >= 0
+
+
+class TestGenericBranch:
+    """Markets whose first attribute is continuous but not Gaussian: the index
+    CDF itself comes from quadrature."""
+
+    @pytest.mark.parametrize("spec", [EXP_EXP_MARKET, UNIFORM_EXP_MARKET], ids=["exp+exp", "uniform+exp"])
+    def test_matches_simulated_monte_carlo(self, spec):
+        started = time.perf_counter()
+        quad = numeric_counterexample(spec, 1e-4)
+        elapsed = time.perf_counter() - started
+        mc = simulated_monte_carlo(spec, 1_000_000, seed=11)
+        assert elapsed < 1.0
+        for key in ("cov_x1", "cov_x2"):
+            assert abs(getattr(quad, key) - getattr(mc, key)) <= 3 * mc.stderrs[key], key
+
+    def test_exp_exp_closed_form(self):
+        # with Z = 3/5 X1 + 4/5 X2 hypoexponential and T = F(Z), integrating
+        # x_i F(z) against the product density gives E[X_i T] - E[X_i] / 2
+        tol = 1e-8
+        report = numeric_counterexample(EXP_EXP_MARKET, tol)
+        assert abs(report.cov_x1 - 33.0 / 196.0) <= 10 * tol
+        assert abs(report.cov_x2 - 10.0 / 49.0) <= 10 * tol
+
+    # with one weight zero T is the CDF of the other attribute: T = U gives
+    # cov(U, T) = var(U) = 1/12, T = 1 - e^-E gives cov(E, T) = 3/4 - 1/2
+    @pytest.mark.parametrize("alpha, covs", [([1.0, 0.0], (1.0 / 12.0, 0.0)), ([0.0, 1.0], (0.0, 0.25))])
+    def test_zero_weight(self, alpha, covs):
+        spec = MarketSpec(dx=2, dy=1, alpha=alpha, beta=[1.0],
+                          p_components=(uniform01(), exponential(1.0)),
+                          q_components=(uniform01(),))
+        report = numeric_counterexample(spec, 1e-8)
+        assert report.cov_x1 == pytest.approx(covs[0], abs=1e-8)
+        assert report.cov_x2 == pytest.approx(covs[1], abs=1e-8)
