@@ -302,13 +302,37 @@ def empirical_cdf(values) -> EmpiricalCDF:
 
 
 def average_ranks(values) -> np.ndarray:
-    """Average ranks (1..n, half-integers on ties) of a sample within itself."""
-    return empirical_cdf(values).ranks(np.asarray(values, dtype=float))
+    """Average ranks (1..n, half-integers on ties) of a finite sample within itself.
+
+    One argsort: a run of equal sorted values at 0-based positions
+    start..end-1 shares the rank (start + end + 1) / 2. The result equals
+    ``empirical_cdf(values).ranks(values)`` bit for bit, whatever order the
+    sort leaves inside a run.
+    """
+    arr = np.asarray(values, dtype=float).ravel()
+    n = arr.size
+    if n == 0:
+        raise ValueError("average ranks need a non-empty sample")
+    order = np.argsort(arr)
+    ordered = arr[order]
+    # the sort puts -inf first and inf and nan last
+    if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
+        raise ValueError("average ranks need finite values (got nan or inf)")
+    ranks = np.empty(n)
+    breaks = ordered[1:] != ordered[:-1]
+    if breaks.all():
+        ranks[order] = np.arange(1.0, n + 1.0)
+        return ranks
+    starts = np.flatnonzero(np.concatenate(([True], breaks)))
+    ends = np.append(starts[1:], n)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def rank_transform(values) -> np.ndarray:
     """Average ranks of a sample divided by n + 1 (its own empirical CDF)."""
-    return empirical_cdf(values).evaluate(np.asarray(values, dtype=float))
+    ranks = average_ranks(values)
+    return ranks / (ranks.size + 1)
 
 
 _EXP1 = DistributionModel("exponential", 1.0)

@@ -210,12 +210,27 @@ def _index_pair(sample: MatchedSample, alpha, beta) -> tuple[np.ndarray, np.ndar
     return u, v
 
 
+# An average rank or a dominance count is a multiple of 1/2 in [0, n], so
+# four times a product of two is an integer of at most 4n^2. A float64 dot
+# over c such terms is then exact in any summation order while
+# c * 4n^2 <= 2**53, and the chunk sums add up exactly as Python ints.
+_EXACT_DOT_MAX_N = math.isqrt(2**51)
+
+
+def _exact_dot4(a: np.ndarray, b: np.ndarray) -> int:
+    """4 * (a @ b) as an exact integer, for multiples of 1/2 in [0, a.size]."""
+    n = a.size
+    if n > _EXACT_DOT_MAX_N:
+        raise NumericalError(f"rank objectives are exact only up to n = {_EXACT_DOT_MAX_N}, got n = {n}")
+    chunk = 2**51 // (n * n)
+    return sum(int(4.0 * (a[i : i + chunk] @ b[i : i + chunk])) for i in range(0, n, chunk))
+
+
 def _rank_product_mean(rank_u: np.ndarray, rank_v: np.ndarray) -> float:
-    # Raw average ranks are quarter-integers whose products and partial sums
-    # stay exactly representable up to n ~ 1e5, so dividing once at the end
-    # makes the comonotone maximum land exactly on (2n+1)/(6(n+1)).
+    # one correctly rounded division of exact integers, so the comonotone
+    # maximum lands exactly on spearman_upper_bound(n) at every n
     n = rank_u.size
-    return float(rank_u @ rank_v) / float(n * (n + 1) * (n + 1))
+    return _exact_dot4(rank_u, rank_v) / (4 * n * (n + 1) * (n + 1))
 
 
 def spearman_objective(sample: MatchedSample, alpha, beta) -> float:
@@ -226,21 +241,19 @@ def spearman_objective(sample: MatchedSample, alpha, beta) -> float:
 
 def spearman_upper_bound(n: int) -> float:
     """Finite-sample maximum of the rank-product objective, (2n+1)/(6(n+1))."""
-    return float(n * (n + 1) * (2 * n + 1) // 6) / float(n * (n + 1) * (n + 1))
+    return (n * (n + 1) * (2 * n + 1) // 6) / (n * (n + 1) * (n + 1))
 
 
 def spearman_objective_prob_form(sample: MatchedSample, alpha, beta) -> float:
     """Triple-average form: the share of (i, j, k) with couple k dominating
     i on the x index and j on the y index. Agrees with the rank form
-    within 3/n; kept quadratic-free via sorted counting."""
+    within 3/n; O(n log n) via sorted counting."""
     n = sample.n
-    if n > 2000:
-        raise ValueError("probability form is limited to n <= 2000")
     u = sample.x_index(alpha)
     v = sample.y_index(beta)
     count_u = np.searchsorted(np.sort(u), u, side="right")
     count_v = np.searchsorted(np.sort(v), v, side="right")
-    return float((count_u * count_v).sum() / n**3)
+    return _exact_dot4(count_u, count_v) / (4 * n**3)
 
 
 def _unit_from_angles(theta: np.ndarray, d: int) -> np.ndarray:
@@ -287,8 +300,11 @@ def spearman_estimate(
     """
     xev = _RankEvaluator(sample.xs)
     yev = _RankEvaluator(sample.ys)
+    evaluations = 0
 
     def value(alpha: np.ndarray, beta: np.ndarray) -> float:
+        nonlocal evaluations
+        evaluations += 1
         return _rank_product_mean(xev.ranks(alpha), yev.ranks(beta))
 
     ax = sample.dx - 1
@@ -326,9 +342,10 @@ def spearman_estimate(
             alpha, beta = unpack(res.x)
             obj = -float(res.fun)
             candidates.append((obj, alpha, beta))
-            local_optima.append(
-                {"objective": obj, "alpha": alpha, "beta": beta, "source": f"restart {r}"}
-            )
+            local_optima.append({
+                "objective": obj, "alpha": alpha, "beta": beta, "source": f"restart {r}",
+                "nfev": int(res.nfev), "nit": int(res.nit), "success": bool(res.success),
+            })
 
     grid_info = None
     if sample.dx == 2 and sample.dy == 1:
@@ -381,6 +398,7 @@ def spearman_estimate(
             "alpha_argmax": best_alpha,
             "beta_argmax": best_beta,
             "upper_bound": spearman_upper_bound(sample.n),
+            "objective_evaluations": evaluations,
         },
     )
 

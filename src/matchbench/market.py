@@ -260,17 +260,31 @@ class MatchedSample:
 
     @staticmethod
     def from_csv(path) -> "MatchedSample":
+        """Read a sample written by ``to_csv``; a malformed file raises a
+        ValueError naming its line."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected a header line")
             dx = sum(1 for name in header if name.startswith("x"))
             dy = len(header) - dx
             if dx < 1 or dy < 1 or header != [f"x{j + 1}" for j in range(dx)] + [f"y{j + 1}" for j in range(dy)]:
                 raise ValueError(f"unexpected sample header {header!r}")
-            rows = [[float(v) for v in row] for row in reader if row]
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    values = [float(v) for v in row]
+                except ValueError:
+                    values = []
+                if len(values) != dx + dy or not all(map(math.isfinite, values)):
+                    raise ValueError(f"{path} line {reader.line_num}: expected {dx + dy} finite numbers, got {row!r}")
+                rows.append(values)
+        if not rows:
+            raise ValueError(f"{path}: sample file has no rows")
         data = np.asarray(rows, dtype=float)
-        if data.size == 0:
-            raise ValueError("sample file has no rows")
         return MatchedSample(xs=data[:, :dx], ys=data[:, dx:])
 
 

@@ -203,6 +203,46 @@ class TestEstimate:
         assert rc == 3
         assert "numerical" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, shown",
+        [
+            ("", "empty file"),
+            ("x1,x2,y1\n", "no rows"),
+            ("x1,x2,y1\n1,2,3\nnan,0.5,1\n", "line 3: expected 3 finite numbers"),
+            ("x1,x2,y1\n1,2,3\n\n4,inf,1\n", "line 4: expected 3 finite numbers"),
+            ("x1,x2,y1\n1,2,3\n4,five,1\n", "line 3: expected 3 finite numbers"),
+            ("x1,x2,y1\n1,2,3\n4,5\n", "line 3: expected 3 finite numbers"),
+        ],
+        ids=["empty", "header_only", "nan_row", "inf_after_blank", "text", "short_row"],
+    )
+    def test_malformed_sample_is_config_error(self, tmp_path, capsys, text, shown):
+        cfg = write_config(tmp_path / "cfg.json", methods=["cca", "spearman"])
+        sample_path = tmp_path / "sample.csv"
+        sample_path.write_text(text)
+        rc = main(["estimate", "--config", str(cfg), "--sample", str(sample_path),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert shown in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "estimate_cca.json").exists()
+
+    def test_spearman_diagnostics_report_search_counters(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", n=800,
+                           methods=["spearman"], spearman={"restarts": 2})
+        sample = tmp_path / "run" / "sample.csv"
+        main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        payloads = []
+        for out in ("a", "b"):
+            assert main(["estimate", "--config", str(cfg), "--sample", str(sample),
+                         "--out", str(tmp_path / out)]) == 0
+            payloads.append((tmp_path / out / "estimate_spearman.json").read_bytes())
+        assert payloads[0] == payloads[1]
+        diagnostics = json.loads(payloads[0])["diagnostics"]
+        assert diagnostics["objective_evaluations"] > 0
+        for entry in diagnostics["local_optima"]:
+            assert {"nfev", "nit", "success"} <= set(entry)
+
 
 class TestCounterexampleCommand:
     def test_default_run_is_inconsistent(self, tmp_path, capsys):

@@ -211,6 +211,54 @@ class TestEmpiricalCDF:
         assert np.all((at_sample > 0) & (at_sample < 1))
 
 
+def _searchsorted_ranks(values) -> np.ndarray:
+    """The reference: average ranks read off the sorted copy by searchsorted."""
+    return empirical_cdf(values).ranks(np.asarray(values, dtype=float))
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: rng.normal(size=5000),
+            lambda rng: np.round(rng.normal(size=5000), 1),
+            lambda rng: rademacher().draw(5000, rng),
+            lambda rng: np.full(300, 2.5),
+            lambda rng: np.array([7.0]),
+            lambda rng: np.array([0.0, -0.0, 1.0, -0.0, -1.0, 0.0]),
+        ],
+        ids=["continuous", "rounded", "rademacher", "all_equal", "single", "signed_zeros"],
+    )
+    def test_bit_identical_to_searchsorted(self, rng, make):
+        values = make(rng)
+        got = average_ranks(values)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _searchsorted_ranks(values).tobytes()
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50),
+        st.lists(st.integers(0, 49), max_size=50),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_with_forced_duplicates(self, values, picks):
+        values = values + [values[i % len(values)] for i in picks]
+        assert average_ranks(values).tobytes() == _searchsorted_ranks(values).tobytes()
+
+    def test_rank_transform_is_the_empirical_cdf(self, rng):
+        values = np.round(rng.normal(size=1000), 1)
+        expected = empirical_cdf(values).evaluate(values)
+        assert rank_transform(values).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            average_ranks([1.0, bad, 0.5])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            average_ranks([])
+
+
 class TestMixtureIndexCdf:
     def test_infimum_of_support(self):
         assert counterexample_index_cdf(-1.0 / math.sqrt(2.0)) == 0.0

@@ -15,6 +15,9 @@ from matchbench import (
     spearman_objective_prob_form,
     spearman_upper_bound,
 )
+from matchbench.distributions import average_ranks
+from matchbench.errors import NumericalError
+from matchbench.estimators import _EXACT_DOT_MAX_N, _exact_dot4, _rank_product_mean
 
 
 def comonotone_sample(n: int) -> MatchedSample:
@@ -32,6 +35,32 @@ class TestObjective:
     def test_comonotone_attains_bound_exactly(self, n):
         sample = comonotone_sample(n)
         assert spearman_objective(sample, [1.0], [1.0]) == spearman_upper_bound(n)
+
+    def test_comonotone_attains_bound_exactly_at_one_million(self):
+        # the float dot of the raw ranks rounds here; the chunked sum does not
+        n = 1_000_000
+        assert spearman_objective(comonotone_sample(n), [1.0], [1.0]) == spearman_upper_bound(n)
+
+    def test_chunked_sum_is_exact(self, rng):
+        # 3e5 terms take 12 chunks; tied ranks exercise the half-integers
+        n = 300_000
+        ru = average_ranks(rng.integers(0, 1000, n).astype(float))
+        rv = average_ranks(rng.normal(size=n))
+        twice_u = (2 * ru).astype(np.int64)
+        twice_v = (2 * rv).astype(np.int64)
+        assert _exact_dot4(ru, rv) == int(twice_u @ twice_v)
+        expected = int(twice_u @ twice_v) / (4 * n * (n + 1) ** 2)
+        assert spearman_objective(
+            MatchedSample(xs=ru.reshape(-1, 1), ys=rv.reshape(-1, 1)), [1.0], [1.0]
+        ) == expected
+
+    def test_size_beyond_exact_range_rejected(self):
+        # the largest n whose single rank products still leave a chunk of one
+        assert _EXACT_DOT_MAX_N**2 <= 2**51 < (_EXACT_DOT_MAX_N + 1) ** 2
+        # a broadcast view has the size without the memory
+        ranks = np.broadcast_to(1.0, (_EXACT_DOT_MAX_N + 1,))
+        with pytest.raises(NumericalError, match="exact only up to n"):
+            _rank_product_mean(ranks, ranks)
 
     def test_bound_approaches_one_third(self):
         n = 100_000
@@ -99,10 +128,13 @@ class TestProbabilityForm:
         b = spearman_objective_prob_form(sample, [1.0], [1.0])
         assert abs(a - b) <= 3.0 / n
 
-    def test_rejects_large_n(self):
-        sample = comonotone_sample(2001)
-        with pytest.raises(ValueError):
-            spearman_objective_prob_form(sample, [1.0], [1.0])
+    def test_agrees_with_rank_form_at_large_n(self, rng):
+        n = 10_000
+        sample = MatchedSample(xs=rng.normal(size=(n, 2)), ys=rng.normal(size=(n, 1)))
+        alpha, beta = [0.8, 0.6], [1.0]
+        a = spearman_objective(sample, alpha, beta)
+        b = spearman_objective_prob_form(sample, alpha, beta)
+        assert abs(a - b) <= 3.0 / n
 
 
 class TestEstimate:
@@ -150,3 +182,32 @@ class TestEstimate:
         r2 = spearman_estimate(sample, restarts=3, seed=7)
         np.testing.assert_array_equal(r1.alpha_hat, r2.alpha_hat)
         assert r1.objective == r2.objective
+
+    def test_restarts_report_convergence(self):
+        sample = simulate_market(counterexample_market(), 2_000, seed=31)
+        runs = [spearman_estimate(sample, restarts=3, seed=7).diagnostics for _ in range(2)]
+        assert runs[0]["objective_evaluations"] == runs[1]["objective_evaluations"]
+        restarts = [o for o in runs[0]["local_optima"] if o["source"].startswith("restart")]
+        assert len(restarts) == 3
+        for first, second in zip(runs[0]["local_optima"], runs[1]["local_optima"]):
+            assert [first[k] for k in ("nfev", "nit", "success")] == [
+                second[k] for k in ("nfev", "nit", "success")
+            ]
+        for entry in restarts:
+            assert isinstance(entry["success"], bool)
+            assert 0 < entry["nit"] <= entry["nfev"]
+        # every objective evaluation is a Nelder-Mead or an angular-grid point
+        grid = runs[0]["grid"]
+        assert runs[0]["objective_evaluations"] == (
+            sum(o["nfev"] for o in restarts) + grid["coarse_points"] + grid["fine_points"]
+        )
+
+    def test_gaussian_restarts_report_convergence(self):
+        spec = gaussian_market(np.eye(3), np.eye(2), [1.0, 2.0, 3.0], [3.0, 1.0])
+        sample = simulate_market(spec, 2_000, seed=29)
+        runs = [spearman_estimate(sample, restarts=2, seed=5).diagnostics for _ in range(2)]
+        counts = [[(o["nfev"], o["nit"], o["success"]) for o in d["local_optima"]] for d in runs]
+        assert counts[0] == counts[1]
+        assert runs[0]["grid"] is None
+        assert runs[0]["objective_evaluations"] == sum(n for n, _, _ in counts[0])
+        assert runs[0]["objective_evaluations"] == runs[1]["objective_evaluations"]
