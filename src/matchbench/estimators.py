@@ -184,6 +184,8 @@ def ols_index(sample: MatchedSample) -> EstimatorResult:
     if rank < design.shape[1]:
         raise NumericalError("collinear regressors")
     alpha = coef[: sample.dx]
+    if not np.any(alpha):
+        raise NumericalError("least squares fit gives all-zero x weights (constant response?)")
     beta = np.concatenate([[1.0], -coef[sample.dx :]])
     resid = target - design @ coef
     moments = compute_moments(sample)
@@ -403,23 +405,66 @@ def spearman_estimate(
     )
 
 
+def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
+    """term(lo) + ... + term(hi - 1), added in the order np.sum adds a
+    contiguous axis: in sequence below 8 terms, else numpy's pairwise
+    summation (8 interleaved partial sums, halved above 128 terms). Each
+    term is a fresh array that the sum may overwrite."""
+    count = hi - lo
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        total = _pairwise_sum(term, lo, lo + half)
+        total += _pairwise_sum(term, lo + half, hi)
+        return total
+    if count < 8:
+        total = term(lo)
+        for j in range(lo + 1, hi):
+            total += term(j)
+        return total
+    tail = hi - count % 8
+    partial = [term(lo + k) for k in range(8)]
+    for j in range(lo + 8, tail):
+        partial[(j - lo) % 8] += term(j)
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        partial[a] += partial[b]
+    for j in range(tail, hi):
+        partial[0] += term(j)
+    return partial[0]
+
+
 def kernel_regression(sample: MatchedSample, response_coordinate: int, points, bandwidths) -> np.ndarray:
     """Nadaraya-Watson fit of one y attribute on all x attributes with a
-    product Gaussian kernel, evaluated at the given points."""
-    X = sample.xs
+    product Gaussian kernel, evaluated at the given points.
+
+    Works one x column at a time on (points, n) arrays, with the
+    arithmetic of summing a (points, n, dx) array of squared scaled
+    distances, so the fit is bit-identical to that broadcast form.
+    """
+    cols = np.ascontiguousarray(sample.xs.T)
+    dx, n = cols.shape
     y = sample.ys[:, response_coordinate]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != dx:
+        raise ValueError(f"evaluation points must have dx={dx} columns, got shape {pts.shape}")
     h = np.asarray(bandwidths, dtype=float)
-    if np.any(h <= 0):
-        raise NumericalError("bandwidth degenerate")
+    if h.shape != (dx,) or not np.all(np.isfinite(h) & (h > 0)):
+        raise NumericalError(f"bandwidth degenerate: need {dx} finite positive bandwidths, got {h.tolist()}")
     out = np.empty(pts.shape[0])
-    chunk = max(1, int(2e6 // max(1, X.shape[0])))
+    # the block shape sets the BLAS and row-sum rounding: keep it fixed
+    chunk = max(1, int(2e6 // max(1, n)))
     for start in range(0, pts.shape[0], chunk):
         block = pts[start : start + chunk]
-        z = (block[:, None, :] - X[None, :, :]) / h
-        logw = -0.5 * np.sum(z * z, axis=2)
+
+        def scaled_square(j):
+            z = np.subtract(block[:, j, None], cols[j])
+            z /= h[j]
+            z *= z
+            return z
+
+        logw = _pairwise_sum(scaled_square, 0, dx)
+        logw *= -0.5
         logw -= logw.max(axis=1, keepdims=True)
-        w = np.exp(logw)
+        w = np.exp(logw, out=logw)
         out[start : start + chunk] = (w @ y) / w.sum(axis=1)
     return out
 

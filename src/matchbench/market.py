@@ -20,6 +20,8 @@ from .distributions import DistributionModel, seed_streams
 from .errors import DegenerateIndexError
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+# rows formatted per write in to_csv, so a large sample never becomes one string
+_CSV_BLOCK_ROWS = 65536
 
 
 @dataclass(frozen=True)
@@ -251,12 +253,17 @@ class MatchedSample:
         return self.ys @ np.asarray(beta, dtype=float)
 
     def to_csv(self, path) -> None:
+        """Write a header and one row per couple, each value as ``%.17g``:
+        the bytes ``csv.writer`` gives (no quoting, CRLF line ends),
+        formatted a block of rows at a time."""
         header = [f"x{j + 1}" for j in range(self.dx)] + [f"y{j + 1}" for j in range(self.dy)]
+        data = np.hstack([self.xs, self.ys])
+        row = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for xr, yr in zip(self.xs, self.ys):
-                writer.writerow([format(v, ".17g") for v in xr] + [format(v, ".17g") for v in yr])
+            fh.write(",".join(header) + "\r\n")
+            for start in range(0, self.n, _CSV_BLOCK_ROWS):
+                block = data[start : start + _CSV_BLOCK_ROWS]
+                fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
     @staticmethod
     def from_csv(path) -> "MatchedSample":

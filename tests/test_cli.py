@@ -203,6 +203,26 @@ class TestEstimate:
         assert rc == 3
         assert "numerical" in capsys.readouterr().err
 
+    def test_constant_response_ols_is_numerical_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        sample_path = tmp_path / "sample.csv"
+        sample_path.write_text("x1,x2,y1\n0,1,2\n1,0,2\n2,3,2\n3,1,2\n")
+        rc = main(["estimate", "--config", str(cfg), "--sample", str(sample_path),
+                   "--methods", "ols", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "all-zero x weights" in capsys.readouterr().err
+
+    def test_mrs_estimate_is_byte_reproducible(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", n=3000, methods=["mrs"])
+        main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        payloads = []
+        for out in ("a", "b"):
+            assert main(["estimate", "--config", str(cfg), "--sample", str(tmp_path / "run" / "sample.csv"),
+                         "--out", str(tmp_path / out)]) == 0
+            payloads.append((tmp_path / out / "estimate_mrs.json").read_bytes())
+        assert payloads[0] == payloads[1]
+        assert json.loads(payloads[0])["method"] == "mrs"
+
     @pytest.mark.parametrize(
         "text, shown",
         [

@@ -24,7 +24,7 @@ from matchbench import (
     simulate_market,
     uniform01,
 )
-from matchbench.estimators import kernel_regression
+from matchbench.estimators import _pairwise_sum, kernel_regression
 from matchbench.market import MarketSpec
 
 E2 = math.exp(-2.0)
@@ -197,6 +197,12 @@ class TestOls:
         assert result.diagnostics["constraint_B"] > 0
         assert result.beta_hat[0] > 0  # first coordinate pinned positive by normalization
 
+    def test_constant_response_is_numerical_error(self, rng):
+        # the fit has all-zero x weights; normalize_weights alone would raise ValueError
+        sample = MatchedSample(xs=rng.normal(size=(50, 2)), ys=np.full((50, 1), 3.0))
+        with pytest.raises(NumericalError, match="all-zero x weights"):
+            ols_index(sample)
+
     def test_collinear_regressors_rejected(self, rng):
         xs = rng.normal(size=(100, 1))
         xs = np.hstack([xs, xs])  # duplicated column
@@ -291,3 +297,64 @@ class TestMrs:
         result = mrs_estimate(sample, eval_points=np.vstack([xs[:3], far]))
         assert result.in_hull[:3].all()
         assert not result.in_hull[3]
+
+
+def broadcast_kernel_regression(sample, response_coordinate, points, bandwidths):
+    """The (points, n, dx) broadcast form of kernel_regression, kept as its reference."""
+    X = sample.xs
+    y = sample.ys[:, response_coordinate]
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    h = np.asarray(bandwidths, dtype=float)
+    out = np.empty(pts.shape[0])
+    chunk = max(1, int(2e6 // max(1, X.shape[0])))
+    for start in range(0, pts.shape[0], chunk):
+        block = pts[start : start + chunk]
+        z = (block[:, None, :] - X[None, :, :]) / h
+        logw = -0.5 * np.sum(z * z, axis=2)
+        logw -= logw.max(axis=1, keepdims=True)
+        w = np.exp(logw)
+        out[start : start + chunk] = (w @ y) / w.sum(axis=1)
+    return out
+
+
+class TestKernelRegression:
+    @pytest.mark.parametrize("dx", [1, 2, 3])
+    def test_bit_identical_to_broadcast_form(self, rng, dx):
+        # n = 2e4 puts 100 points in a block, so 250 points take three blocks
+        sample = random_sample(rng, n=20_000, dx=dx, dy=2)
+        points = 1.5 * rng.normal(size=(250, dx))
+        h = 1.06 * sample.xs.std(axis=0) * sample.n ** -0.2
+        for k in range(2):
+            expected = broadcast_kernel_regression(sample, k, points, h)
+            assert np.array_equal(kernel_regression(sample, k, points, h), expected)
+
+    @pytest.mark.parametrize("dx", [8, 9, 17])
+    def test_bit_identical_where_numpy_sums_pairwise(self, rng, dx):
+        sample = random_sample(rng, n=2_000, dx=dx, dy=1)
+        points = rng.normal(size=(4, dx))
+        h = 3.0 * sample.xs.std(axis=0)
+        expected = broadcast_kernel_regression(sample, 0, points, h)
+        assert np.array_equal(kernel_regression(sample, 0, points, h), expected)
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 16, 23, 128, 129, 130, 300])
+    def test_pairwise_sum_adds_in_numpy_order(self, rng, count):
+        terms = rng.normal(size=(3, 40, count)) ** 2
+        total = _pairwise_sum(lambda j: terms[..., j].copy(), 0, count)
+        assert np.array_equal(total, np.sum(terms, axis=2))
+
+    @pytest.mark.parametrize("points", [[[0.1], [0.2]], [0.1, 0.2, 0.3], np.zeros((2, 2, 2))],
+                             ids=["one_column", "three_values", "three_dims"])
+    def test_points_without_dx_columns_rejected(self, rng, points):
+        sample = random_sample(rng, n=200, dx=2, dy=1)
+        with pytest.raises(ValueError, match="dx=2 columns"):
+            kernel_regression(sample, 0, points, [0.3, 0.3])
+
+    @pytest.mark.parametrize(
+        "bandwidths",
+        [0.3, [0.3], [0.3, 0.3, 0.3], [0.3, math.nan], [math.inf, 0.3], [0.3, 0.0], [-0.3, 0.3]],
+        ids=["scalar", "one", "three", "nan", "inf", "zero", "negative"],
+    )
+    def test_bandwidths_must_be_dx_finite_positive(self, rng, bandwidths):
+        sample = random_sample(rng, n=200, dx=2, dy=1)
+        with pytest.raises(NumericalError, match="bandwidth degenerate"):
+            kernel_regression(sample, 0, [[0.0, 0.0]], bandwidths)

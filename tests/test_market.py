@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -22,6 +24,7 @@ from matchbench import (
     transfer_map,
     uniform01,
 )
+from matchbench import market
 from matchbench.distributions import average_ranks
 from matchbench.market import (
     matching_value,
@@ -268,3 +271,18 @@ class TestCsvRoundTrip:
         path2 = tmp_path / "sample2.csv"
         again.to_csv(path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_bytes_match_csv_writer_across_blocks(self, tmp_path):
+        n = market._CSV_BLOCK_ROWS + 3
+        rng = np.random.default_rng(5)
+        xs = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 300, size=(n, 2))
+        xs[:3] = [[0.0, -0.0], [5e-324, 1.7976931348623157e308], [0.1, 123456789012345678.0]]
+        sample = MatchedSample(xs=xs, ys=np.arange(n, dtype=float).reshape(-1, 1) / 3.0)
+        path = tmp_path / "sample.csv"
+        sample.to_csv(path)
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow(["x1", "x2", "y1"])
+        for xr, yr in zip(sample.xs, sample.ys):
+            writer.writerow([format(v, ".17g") for v in xr] + [format(v, ".17g") for v in yr])
+        assert path.read_bytes() == reference.getvalue().encode()
