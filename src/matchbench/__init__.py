@@ -2,9 +2,6 @@
 
 from .distributions import (
     DistributionModel,
-    EmpiricalCDF,
-    counterexample_index_cdf,
-    empirical_cdf,
     exponential,
     gaussian,
     rademacher,
@@ -23,7 +20,6 @@ from .estimators import (
     EstimatorResult,
     MomentSet,
     cca,
-    cca_ratio_scalar_y,
     compute_moments,
     consistency_condition,
     counterexample_population_moments,
@@ -40,14 +36,12 @@ from .market import (
     MarketSpec,
     MatchedSample,
     SurplusShape,
-    TransferMap,
     assignment_oracle,
     check_supermodularity,
     counterexample_market,
     gaussian_market,
     simulate_market,
     surplus,
-    transfer_map,
 )
 from .oracle import (
     CounterexampleReport,

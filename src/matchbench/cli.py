@@ -36,6 +36,7 @@ from .oracle import (
     closed_form_counterexample,
     monte_carlo_counterexample,
     numeric_counterexample,
+    quadrature_expectations,
     simulated_monte_carlo,
 )
 from .saliency import rank1_weights, svd_decompose
@@ -270,11 +271,15 @@ def cmd_counterexample(args) -> int:
         # the transfer map is linear, so cov(X, T) is the population Sxy times beta
         cov_x1, cov_x2 = population_moments_gaussian(spec).Sxy @ spec.beta
         closed = CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "closed_form")
+        quad = numeric_counterexample(spec, tol)
+        mc = simulated_monte_carlo(spec, n, seed)
     else:
         spec = counterexample_market()
         closed = closed_form_counterexample()
-    quad = numeric_counterexample(spec, tol)
-    mc = simulated_monte_carlo(spec, n, seed) if args.gaussian else monte_carlo_counterexample(n, seed)
+        quad = numeric_counterexample(spec, tol)
+        # the named expectation terms exist for the benchmark market only
+        quad = replace(quad, expectation_terms=quadrature_expectations(tol, quad.diagnostics))
+        mc = monte_carlo_counterexample(n, seed)
 
     def within(a: float, b: float, band: float) -> bool:
         return bool(abs(a - b) <= band)

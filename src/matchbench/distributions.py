@@ -1,4 +1,4 @@
-"""Univariate distribution models, empirical CDFs, and reproducible sampling.
+"""Univariate distribution models, sample ranks, and reproducible sampling.
 
 Four attribute laws are supported: centered Gaussians, the fair ±1 coin
 (Rademacher), the exponential on [0, inf), and the uniform on [0, 1].
@@ -16,8 +16,6 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 KINDS = ("gaussian", "rademacher", "exponential", "uniform01")
-
-_SQRT2 = math.sqrt(2.0)
 
 
 def seed_streams(seed: int, k: int) -> list[np.random.Generator]:
@@ -72,12 +70,9 @@ class DistributionModel:
         return self.kind != "rademacher"
 
     def mean(self) -> float:
-        return {
-            "gaussian": 0.0,
-            "rademacher": 0.0,
-            "exponential": 1.0 / self.param if self.param else 0.0,
-            "uniform01": 0.5,
-        }[self.kind]
+        if self.kind == "exponential":
+            return 1.0 / self.param
+        return 0.5 if self.kind == "uniform01" else 0.0
 
     def var(self) -> float:
         if self.kind == "gaussian":
@@ -265,49 +260,13 @@ def self_symmetric(dist: DistributionModel) -> bool:
     return dist.kind in ("gaussian", "rademacher")
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalCDF:
-    """Rank-based CDF with the r/(n+1) convention and average ranks on ties.
-
-    Evaluating at the k-th order statistic of an all-distinct sample gives
-    k/(n+1); tied blocks get the mean rank of the block. Values at sample
-    points therefore stay strictly inside (0, 1), and the mean over the
-    sample itself is exactly 1/2.
-    """
-
-    sorted_values: np.ndarray
-    n: int
-
-    def ranks(self, z):
-        """Average rank of z within the sample; half-integers on ties."""
-        arr, scalar = _as_float_array(z)
-        lo = np.searchsorted(self.sorted_values, arr, side="left")
-        hi = np.searchsorted(self.sorted_values, arr, side="right")
-        ties = hi - lo
-        rank = np.where(ties > 0, lo + (ties + 1) / 2.0, lo).astype(float)
-        return float(rank) if scalar else rank
-
-    def evaluate(self, z):
-        out = self.ranks(z) / (self.n + 1)
-        return out
-
-    __call__ = evaluate
-
-
-def empirical_cdf(values) -> EmpiricalCDF:
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("empirical CDF needs a non-empty sample")
-    return EmpiricalCDF(sorted_values=np.sort(arr), n=int(arr.size))
-
-
 def average_ranks(values) -> np.ndarray:
     """Average ranks (1..n, half-integers on ties) of a finite sample within itself.
 
     One argsort: a run of equal sorted values at 0-based positions
     start..end-1 shares the rank (start + end + 1) / 2. The result equals
-    ``empirical_cdf(values).ranks(values)`` bit for bit, whatever order the
-    sort leaves inside a run.
+    the searchsorted reference in tests/test_distributions.py bit for bit,
+    whatever order the sort leaves inside a run.
     """
     arr = np.asarray(values, dtype=float).ravel()
     n = arr.size
@@ -333,19 +292,3 @@ def rank_transform(values) -> np.ndarray:
     """Average ranks of a sample divided by n + 1 (its own empirical CDF)."""
     ranks = average_ranks(values)
     return ranks / (ranks.size + 1)
-
-
-_EXP1 = DistributionModel("exponential", 1.0)
-
-
-def counterexample_index_cdf(x):
-    """CDF of (X1 + X2)/sqrt(2) with X1 a fair ±1 coin and X2 ~ Exp(1).
-
-    This is the equal-weight index of the benchmark market on which
-    canonical correlation goes wrong; as a two-atom mixture of shifted
-    exponentials it is continuous but visibly nonlinear in rank space.
-    """
-    arr, scalar = _as_float_array(x)
-    z = arr * _SQRT2
-    out = 0.5 * (_EXP1.cdf(z + 1.0) + _EXP1.cdf(z - 1.0))
-    return float(out) if scalar else out

@@ -151,22 +151,6 @@ def cca(moments: MomentSet) -> EstimatorResult:
     )
 
 
-def cca_ratio_scalar_y(moments: MomentSet) -> float:
-    """First-to-second weight ratio for dx=2, dy=1: the cross-covariance ratio.
-
-    This is the closed-form solution of the canonical correlation program
-    when the two x attributes are uncorrelated with unit variances (the
-    benchmark-market normalization); it then matches cca() exactly.
-    """
-    if moments.dx != 2 or moments.dy != 1:
-        raise ValueError("needs dx=2 and dy=1")
-    c1 = float(moments.Sxy[0, 0])
-    c2 = float(moments.Sxy[1, 0])
-    if c2 == 0.0:
-        raise NumericalError("zero denominator covariance")
-    return c1 / c2
-
-
 def ols_index(sample: MatchedSample) -> EstimatorResult:
     """Least squares of the first y attribute on x and the remaining y
     attributes, with the first y weight pinned to one.

@@ -325,39 +325,6 @@ def simulate_market(spec: MarketSpec, n: int, seed: int) -> MatchedSample:
     return MatchedSample(xs=xs[np.argsort(u, kind="stable")], ys=ys[np.argsort(v, kind="stable")])
 
 
-@dataclass(frozen=True, eq=False)
-class TransferMap:
-    """Monotone piecewise-linear map from x-side index to matched y-side index.
-
-    Built through paired sample quantiles; evaluation clamps to the end
-    quantiles outside the fitted range.
-    """
-
-    probs: np.ndarray
-    x_quantiles: np.ndarray
-    y_quantiles: np.ndarray
-
-    def __call__(self, z):
-        return np.interp(z, self.x_quantiles, self.y_quantiles)
-
-
-TRANSFER_GRID = np.linspace(0.001, 0.999, 1001)
-
-
-def transfer_map(sample: MatchedSample, alpha, beta) -> TransferMap:
-    """Fit T with T(p-quantile of the x-index) = p-quantile of the y-index
-    over the fixed probability grid. Tied x-quantiles (atomic indices) are
-    collapsed to their mean matched value, which preserves monotonicity."""
-    u = sample.x_index(alpha)
-    v = sample.y_index(beta)
-    xq = np.quantile(u, TRANSFER_GRID)
-    yq = np.quantile(v, TRANSFER_GRID)
-    ux, inverse = np.unique(xq, return_inverse=True)
-    counts = np.bincount(inverse)
-    uy = np.bincount(inverse, weights=yq) / counts
-    return TransferMap(probs=TRANSFER_GRID.copy(), x_quantiles=ux, y_quantiles=uy)
-
-
 def surplus(spec: MarketSpec, x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -22,8 +22,8 @@ from .distributions import (
     scaled_sf,
     seed_streams,
 )
-from .errors import QuadratureConvergenceError
-from .market import MarketSpec, simulate_market
+from .errors import NumericalError, QuadratureConvergenceError
+from .market import MarketSpec, counterexample_market, simulate_market
 
 _EXP1 = exponential(1.0)
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -262,8 +262,9 @@ def closed_form_counterexample() -> CounterexampleReport:
 def matched_outcome(x1, x2):
     """Partner index matched to attributes (x1, x2) in the benchmark market.
 
-    Piecewise in the coin value; always in [0, 1] and equal to the combined
-    index CDF evaluated at (x1 + x2)/sqrt(2).
+    Piecewise in the coin value and always in [0, 1]: the closed form of
+    the benchmark's transfer map at the index (x1 + x2)/sqrt(2), kept for
+    the Monte Carlo column. ``population_transfer_map`` is the general map.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -277,38 +278,6 @@ def matched_outcome(x1, x2):
     high = 0.5 * (_EXP1.cdf(x2 + 2.0) + _EXP1.cdf(x2))
     out = np.where(x1 < 0.0, low, high)
     return float(out) if scalar else out
-
-
-def quadrature_expectations(tol: float, stats: QuadratureStats | None = None) -> dict[str, float]:
-    """Numerical counterparts of the exact expectations, same keys."""
-    g = _EXP1.cdf
-
-    def mean(fn) -> float:
-        return quad_integrate(fn, _EXP1, tol, stats)
-
-    mean_y_low = mean(lambda z: z * matched_outcome(-np.ones_like(z), z))
-    mean_y_high = mean(lambda z: z * matched_outcome(np.ones_like(z), z))
-    return {
-        "mean_cdf_shift_plus2": mean(lambda z: g(z + 2.0)),
-        "mean_cdf_shift_minus2": mean(lambda z: g(z - 2.0)),
-        "mean_x_cdf_shift_minus2": mean(lambda z: z * g(z - 2.0)),
-        "mean_x_cdf_shift_plus2": mean(lambda z: z * g(z + 2.0)),
-        "mean_x_cdf_shift0": mean(lambda z: z * g(z)),
-        "mean_x_matched_outcome": 0.5 * (mean_y_low + mean_y_high),
-    }
-
-
-def _is_benchmark_market(spec: MarketSpec) -> bool:
-    return (
-        spec.p_components is not None
-        and spec.q_components is not None
-        and spec.p_components[0].kind == "rademacher"
-        and spec.p_components[1] == _EXP1
-        and spec.q_components[0].kind == "uniform01"
-        and abs(spec.beta[0] - 1.0) < 1e-12
-        and abs(spec.alpha[0] - _SQRT1_2) < 1e-12
-        and abs(spec.alpha[1] - _SQRT1_2) < 1e-12
-    )
 
 
 # finite ends of each continuous kind's support, where its CDF has a kink
@@ -382,12 +351,35 @@ def population_transfer_map(spec: MarketSpec, tol: float,
     return tmap
 
 
+def quadrature_expectations(tol: float, stats: QuadratureStats | None = None) -> dict[str, float]:
+    """Numerical counterparts of the exact expectations, same keys, with the
+    matched outcome read off the benchmark market's population transfer map."""
+    g = _EXP1.cdf
+    tmap = population_transfer_map(counterexample_market(), tol, stats)
+
+    def mean(fn) -> float:
+        return quad_integrate(fn, _EXP1, tol, stats)
+
+    # the index is (x1 + z)/sqrt(2) for the coin values x1 = -1 and +1
+    mean_y_low = mean(lambda z: z * tmap(_SQRT1_2 * z - _SQRT1_2))
+    mean_y_high = mean(lambda z: z * tmap(_SQRT1_2 * z + _SQRT1_2))
+    return {
+        "mean_cdf_shift_plus2": mean(lambda z: g(z + 2.0)),
+        "mean_cdf_shift_minus2": mean(lambda z: g(z - 2.0)),
+        "mean_x_cdf_shift_minus2": mean(lambda z: z * g(z - 2.0)),
+        "mean_x_cdf_shift_plus2": mean(lambda z: z * g(z + 2.0)),
+        "mean_x_cdf_shift0": mean(lambda z: z * g(z)),
+        "mean_x_matched_outcome": 0.5 * (mean_y_low + mean_y_high),
+    }
+
+
 def numeric_counterexample(spec: MarketSpec, tol: float) -> CounterexampleReport:
     """Quadrature version of the weight-ratio diagnosis for any two-attribute
     market with independent components and a scalar y side.
 
     cov(X_i, T) is integrated over atoms and panels of the population
-    transfer map T; the report's diagnostics count the panels.
+    transfer map T; the report's diagnostics count the panels. Its
+    expectation terms are empty (see ``quadrature_expectations``).
     """
     stats = QuadratureStats()
     tmap = population_transfer_map(spec, tol, stats)
@@ -416,10 +408,7 @@ def numeric_counterexample(spec: MarketSpec, tol: float) -> CounterexampleReport
     mean_x2t = mean_over(lambda x1v, x2: x2 * tmap(a1 * x1v + a2 * x2))
     cov_x1 = mean_x1t - d1.mean() * mean_t
     cov_x2 = mean_x2t - d2.mean() * mean_t
-    terms = quadrature_expectations(tol, stats) if _is_benchmark_market(spec) else {}
-    return CounterexampleReport.from_covariances(
-        spec.alpha, cov_x1, cov_x2, "quadrature", terms, diagnostics=stats
-    )
+    return CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "quadrature", diagnostics=stats)
 
 
 def _cov_stderrs(x1, x2, t) -> tuple[float, float, dict[str, float]]:
@@ -428,10 +417,12 @@ def _cov_stderrs(x1, x2, t) -> tuple[float, float, dict[str, float]]:
     n = t.size
     tc = t - t.mean()
     covs, ses = [], []
-    for a in (x1, x2):
+    for name, a in (("cov_x1", x1), ("cov_x2", x2)):
         prods = (a - a.mean()) * tc
         covs.append(float(prods.mean()))
         ses.append(float(np.std(prods, ddof=1) / math.sqrt(n)))
+        if covs[-1] == 0.0:
+            raise NumericalError(f"sample {name} is 0 over {n} draws: the ratio's standard error is undefined")
     ratio = covs[1] / covs[0]
     stderrs = {
         "cov_x1": ses[0],
@@ -444,9 +435,10 @@ def _cov_stderrs(x1, x2, t) -> tuple[float, float, dict[str, float]]:
 def monte_carlo_counterexample(n: int = 1_000_000, seed: int = 0) -> CounterexampleReport:
     """Monte Carlo column for the benchmark market, with standard errors.
 
-    Uses the exact matched-outcome function rather than sample sorting, so
-    it is an independent check of both the closed forms and the simulation
-    pipeline.
+    Evaluates the closed-form transfer map ``matched_outcome`` on independent
+    draws. ``population_transfer_map`` gives the same map, but takes twice as
+    long on 1e6 draws and differs by up to 2.2e-16 in about 29 % of them,
+    which would move the last digits of the report.
     """
     if n < 2:
         raise ValueError("need n >= 2")

@@ -304,6 +304,24 @@ class TestCounterexampleCommand:
         assert sorted(diagnostics) == ["max_depth", "panels"]
         assert all(isinstance(v, int) for v in diagnostics.values())
 
+    def test_quadrature_counters_and_benchmark_terms(self, tmp_path):
+        assert main(["counterexample", "--tol", "1e-9", "--n", "20000", "--out", str(tmp_path / "a")]) == 0
+        quad = json.loads((tmp_path / "a" / "counterexample.json").read_text())["quadrature"]
+        assert quad["diagnostics"] == {"panels": 353, "max_depth": 25}
+        assert sorted(quad["expectation_terms"]) == sorted(matchbench.counterexample_expectations())
+        assert main(["counterexample", "--gaussian", "--tol", "1e-8", "--n", "2000",
+                     "--out", str(tmp_path / "g")]) == 0
+        quad = json.loads((tmp_path / "g" / "counterexample.json").read_text())["quadrature"]
+        assert quad["expectation_terms"] == {}
+
+    def test_zero_monte_carlo_covariance_exits_3(self, tmp_path, capsys):
+        # the two draws of seed 2 share a coin value, so the sample cov_x1 is 0
+        rc = main(["counterexample", "--n", "2", "--seed", "2", "--tol", "1e-4", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "cov_x1" in err
+        assert "Traceback" not in err
+
     def test_readme_gaussian_command_at_default_tol(self, tmp_path):
         started = time.perf_counter()
         rc = main(["counterexample", "--gaussian", "--out", str(tmp_path)])

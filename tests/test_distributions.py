@@ -8,8 +8,7 @@ from scipy.stats import rankdata
 
 from matchbench import (
     DistributionModel,
-    counterexample_index_cdf,
-    empirical_cdf,
+    counterexample_market,
     exponential,
     gaussian,
     rademacher,
@@ -24,6 +23,7 @@ from matchbench.distributions import (
     scaled_sf,
     seed_streams,
 )
+from matchbench.oracle import population_transfer_map
 
 ALL_KINDS = [gaussian(0.7), gaussian(2.0), rademacher(), exponential(1.0), exponential(3.0), uniform01()]
 CONTINUOUS = [d for d in ALL_KINDS if d.is_continuous]
@@ -169,24 +169,26 @@ class TestScaledHelpers:
 
 
 class TestEmpiricalCDF:
+    """The sample's own empirical CDF is ``rank_transform``: r/(n+1) with
+    average ranks on ties."""
+
     def test_rank_of_three(self):
-        assert empirical_cdf([3, 1, 2]).evaluate(2) == 0.5
+        assert rank_transform([3, 1, 2])[2] == 0.5
 
     def test_average_tie_rule(self):
-        assert empirical_cdf([1, 1, 2]).evaluate(1) == 1.5 / 4.0
+        assert rank_transform([1, 1, 2])[0] == 1.5 / 4.0
 
     def test_single_point(self):
-        assert empirical_cdf([5]).evaluate(5) == 0.5
+        assert rank_transform([5])[0] == 0.5
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            empirical_cdf([])
+            rank_transform([])
 
     def test_order_statistics(self, rng):
         values = rng.normal(size=100)
-        ecdf = empirical_cdf(values)
-        for k, v in enumerate(np.sort(values), start=1):
-            assert ecdf.evaluate(v) == k / 101
+        out = rank_transform(values)
+        np.testing.assert_array_equal(out[np.argsort(values)], np.arange(1, 101) / 101)
 
     def test_mean_exactly_half(self, rng):
         distinct = rng.normal(size=257)
@@ -203,17 +205,21 @@ class TestEmpiricalCDF:
     @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_monotone_and_interior(self, values):
-        ecdf = empirical_cdf(values)
-        queries = np.sort(np.concatenate([values, np.linspace(-150, 150, 17)]))
-        out = ecdf.evaluate(queries)
+        order = np.argsort(values, kind="stable")
+        out = rank_transform(values)[order]
         assert np.all(np.diff(out) >= 0)
-        at_sample = ecdf.evaluate(np.asarray(values))
-        assert np.all((at_sample > 0) & (at_sample < 1))
+        assert np.all((out > 0) & (out < 1))
 
 
 def _searchsorted_ranks(values) -> np.ndarray:
-    """The reference: average ranks read off the sorted copy by searchsorted."""
-    return empirical_cdf(values).ranks(np.asarray(values, dtype=float))
+    """The reference: the average rank of each value is its left insertion
+    point into the sorted copy plus the mean 1-based position within its tie
+    block, both read off by searchsorted."""
+    arr = np.asarray(values, dtype=float)
+    ordered = np.sort(arr)
+    lo = np.searchsorted(ordered, arr, side="left")
+    hi = np.searchsorted(ordered, arr, side="right")
+    return (lo + (hi - lo + 1) / 2.0).astype(float)
 
 
 class TestAverageRanks:
@@ -246,7 +252,7 @@ class TestAverageRanks:
 
     def test_rank_transform_is_the_empirical_cdf(self, rng):
         values = np.round(rng.normal(size=1000), 1)
-        expected = empirical_cdf(values).evaluate(values)
+        expected = _searchsorted_ranks(values) / (values.size + 1)
         assert rank_transform(values).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -260,21 +266,29 @@ class TestAverageRanks:
 
 
 class TestMixtureIndexCdf:
+    """With a U[0, 1] partner index, the benchmark market's population
+    transfer map is the CDF of its x index (X1 + X2)/sqrt(2): a two-atom
+    mixture of shifted exponentials. The map keeps its probabilities at
+    or above the smallest positive double, so below the support it reads
+    5e-324 rather than 0."""
+
+    T = staticmethod(population_transfer_map(counterexample_market(), 1e-9))
+
     def test_infimum_of_support(self):
-        assert counterexample_index_cdf(-1.0 / math.sqrt(2.0)) == 0.0
+        assert self.T(-1.0 / math.sqrt(2.0)) <= 1e-300
 
     def test_at_lower_atom_edge(self):
         expected = 0.5 * (1.0 - math.exp(-2.0))
-        assert abs(counterexample_index_cdf(1.0 / math.sqrt(2.0)) - expected) < 1e-15
+        assert abs(self.T(1.0 / math.sqrt(2.0)) - expected) < 1e-15
 
     def test_upper_limit(self):
-        assert abs(counterexample_index_cdf(60.0) - 1.0) < 1e-15
+        assert abs(self.T(60.0) - 1.0) < 1e-15
 
     def test_monotone_valid_cdf(self):
         z = np.linspace(-2, 30, 5000)
-        out = counterexample_index_cdf(z)
+        out = self.T(z)
         assert np.all(np.diff(out) >= 0)
-        assert out[0] == 0.0 and abs(out[-1] - 1.0) < 1e-12
+        assert out[0] <= 1e-300 and abs(out[-1] - 1.0) < 1e-12
 
     def test_against_simulated_index(self):
         n = 10**6
@@ -283,6 +297,6 @@ class TestMixtureIndexCdf:
         x2 = exponential(1.0).draw(n, s2)
         index = (x1 + x2) / math.sqrt(2.0)
         for q in (-0.5, 0.0, 0.3, 0.7071, 1.5, 3.0):
-            p = counterexample_index_cdf(q)
+            p = self.T(q)
             se = math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(np.mean(index <= q) - p) <= 3 * se + 1e-9

@@ -8,7 +8,6 @@ from matchbench import (
     MomentSet,
     NumericalError,
     cca,
-    cca_ratio_scalar_y,
     compute_moments,
     consistency_condition,
     counterexample_market,
@@ -143,26 +142,6 @@ class TestCca:
     def test_rank_deficient_rejected(self):
         with pytest.raises(NumericalError):
             cca(MomentSet(Sxx=np.zeros((2, 2)), Syy=np.eye(1), Sxy=np.zeros((2, 1))))
-
-
-class TestCcaRatioScalarY:
-    def test_matches_cca_on_population_moments(self):
-        m = counterexample_population_moments()
-        result = cca(m)
-        assert abs(cca_ratio_scalar_y(m) - result.alpha_hat[0] / result.alpha_hat[1]) < 1e-9
-
-    def test_symmetric_covariances_give_one(self):
-        m = MomentSet(Sxx=np.eye(2), Syy=np.eye(1), Sxy=np.array([[0.3], [0.3]]))
-        assert cca_ratio_scalar_y(m) == 1.0
-
-    def test_zero_denominator_flagged(self):
-        m = MomentSet(Sxx=np.eye(2), Syy=np.eye(1), Sxy=np.array([[1.0], [0.0]]))
-        with pytest.raises(NumericalError):
-            cca_ratio_scalar_y(m)
-
-    def test_requires_two_by_one(self):
-        with pytest.raises(ValueError):
-            cca_ratio_scalar_y(MomentSet(Sxx=np.eye(3), Syy=np.eye(1), Sxy=np.zeros((3, 1))))
 
 
 class TestOls:

@@ -14,23 +14,21 @@ from matchbench import (
     SurplusShape,
     assignment_oracle,
     check_supermodularity,
-    counterexample_index_cdf,
     counterexample_market,
-    empirical_cdf,
     gaussian_market,
     rademacher,
     simulate_market,
     surplus,
-    transfer_map,
     uniform01,
 )
 from matchbench import market
-from matchbench.distributions import average_ranks
+from matchbench.distributions import average_ranks, rank_transform
 from matchbench.market import (
     matching_value,
     pair_surplus_matrix,
     rank_sorted_permutation,
 )
+from matchbench.oracle import population_transfer_map
 
 E2 = math.exp(-2.0)
 COV_X1 = (1.0 - E2) / 4.0
@@ -98,10 +96,8 @@ class TestSimulateMarket:
     def test_sample_level_comonotone_identity(self):
         spec = counterexample_market()
         sample = simulate_market(spec, 2000, seed=8)
-        fu = empirical_cdf(sample.x_index(spec.alpha))
-        fv = empirical_cdf(sample.y_index(spec.beta))
         np.testing.assert_array_equal(
-            fu.evaluate(sample.x_index(spec.alpha)), fv.evaluate(sample.y_index(spec.beta))
+            rank_transform(sample.x_index(spec.alpha)), rank_transform(sample.y_index(spec.beta))
         )
 
     def test_determinism(self):
@@ -129,40 +125,25 @@ class TestSimulateMarket:
 
 
 class TestTransferMap:
-    def test_identity_on_shared_sample(self):
-        values = np.linspace(-2.0, 2.0, 4001).reshape(-1, 1)
-        sample = MatchedSample(xs=values, ys=values.copy())
-        tm = transfer_map(sample, [1.0], [1.0])
-        assert np.max(np.abs(tm(tm.x_quantiles) - tm.x_quantiles)) < 1e-9
+    """The simulated coupling follows the population transfer map."""
 
     def test_identity_within_sampling_noise(self):
         sample = simulate_market(uniform_1d_market(), 100_000, seed=5)
-        tm = transfer_map(sample, [1.0], [1.0])
-        grid = np.linspace(0.05, 0.95, 19)
-        assert np.max(np.abs(tm(grid) - grid)) < 0.01
+        assert np.max(np.abs(sample.ys[:, 0] - sample.xs[:, 0])) < 0.01
 
     def test_gaussian_map_linear(self):
         spec = gaussian_market([[1, 0.3], [0.3, 1]], [[1, -0.2], [-0.2, 1]], [1.0, 2.0], [3.0, 1.0])
         sample = simulate_market(spec, 100_000, seed=6)
-        tm = transfer_map(sample, spec.alpha, spec.beta)
-        slope, intercept = np.polyfit(tm.x_quantiles, tm.y_quantiles, 1)
-        residual = tm.y_quantiles - (slope * tm.x_quantiles + intercept)
-        assert 1.0 - residual.var() / tm.y_quantiles.var() >= 0.999
+        u, v = sample.x_index(spec.alpha), sample.y_index(spec.beta)
+        slope, intercept = np.polyfit(u, v, 1)
+        residual = v - (slope * u + intercept)
+        assert 1.0 - residual.var() / v.var() >= 0.999
 
     def test_counterexample_map_is_the_mixture_cdf(self):
         spec = counterexample_market()
         sample = simulate_market(spec, 100_000, seed=7)
-        tm = transfer_map(sample, spec.alpha, spec.beta)
-        z = np.linspace(-0.5, 3.0, 60)
-        assert np.max(np.abs(tm(z) - counterexample_index_cdf(z))) < 0.01
-
-    def test_monotone_on_random_samples(self, rng):
-        for _ in range(5):
-            xs = rng.normal(size=(200, 2))
-            ys = rng.exponential(size=(200, 1))
-            tm = transfer_map(MatchedSample(xs=xs, ys=ys), [0.6, 0.8], [1.0])
-            assert np.all(np.diff(tm.y_quantiles) >= 0)
-            assert np.all(np.diff(tm.x_quantiles) > 0)
+        tmap = population_transfer_map(spec, 1e-9)
+        assert np.max(np.abs(sample.ys[:, 0] - tmap(sample.x_index(spec.alpha)))) < 0.01
 
 
 class TestSurplus:

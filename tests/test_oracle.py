@@ -6,11 +6,11 @@ import pytest
 
 from matchbench import (
     MarketSpec,
+    NumericalError,
     QuadratureConvergenceError,
     closed_form_counterexample,
     consistency_condition,
     counterexample_expectations,
-    counterexample_index_cdf,
     counterexample_market,
     exponential,
     gaussian,
@@ -79,7 +79,7 @@ class TestMatchedOutcome:
         x1 = rng.choice([-1.0, 1.0], size=10_000)
         x2 = rng.exponential(size=10_000)
         lhs = matched_outcome(x1, x2)
-        rhs = counterexample_index_cdf((x1 + x2) / math.sqrt(2.0))
+        rhs = population_transfer_map(counterexample_market(), 1e-9)((x1 + x2) / math.sqrt(2.0))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -152,7 +152,8 @@ class TestNumericCounterexample:
         assert abs(report.ratio_cca - expected) <= 1e-6
         assert abs(report.cov_x1 - (1.0 - E2) / 4.0) <= 1e-8
         assert abs(report.cov_x2 - (3.0 * E2 + 1.0) / 8.0) <= 1e-8
-        assert report.expectation_terms  # the benchmark market carries the named terms
+        # the benchmark's named terms come from quadrature_expectations (TestQuadrature)
+        assert report.expectation_terms == {}
 
     def test_gaussian_market_is_consistent(self):
         spec = MarketSpec(dx=2, dy=1, alpha=np.array([1.0, 2.0]) / math.sqrt(5.0), beta=[1.0],
@@ -189,19 +190,25 @@ class TestTripleAgreement:
     def test_all_three_routes_agree(self):
         closed = closed_form_counterexample()
         quad = numeric_counterexample(counterexample_market(), 1e-9)
+        quad_terms = quadrature_expectations(1e-9)
         mc = monte_carlo_counterexample(1_000_000, seed=99)
         assert abs(quad.cov_x1 - closed.cov_x1) <= 1e-8
         assert abs(quad.cov_x2 - closed.cov_x2) <= 1e-8
         assert abs(mc.cov_x1 - closed.cov_x1) <= 3 * mc.stderrs["cov_x1"]
         assert abs(mc.cov_x2 - closed.cov_x2) <= 3 * mc.stderrs["cov_x2"]
         for key, value in closed.expectation_terms.items():
-            assert abs(quad.expectation_terms[key] - value) <= 1e-8, key
+            assert abs(quad_terms[key] - value) <= 1e-8, key
             assert abs(mc.expectation_terms[key] - value) <= 3 * mc.stderrs[key], key
 
     def test_monte_carlo_deterministic(self):
         a = monte_carlo_counterexample(10_000, seed=4)
         b = monte_carlo_counterexample(10_000, seed=4)
         assert a.cov_x1 == b.cov_x1 and a.cov_x2 == b.cov_x2
+
+    def test_zero_sample_covariance_is_a_numerical_error(self):
+        # both draws share a coin value, so the sample cov_x1 is exactly 0
+        with pytest.raises(NumericalError, match="cov_x1"):
+            monte_carlo_counterexample(2, seed=2)
 
 
 N01_MARKET = MarketSpec(dx=2, dy=1, alpha=[math.sqrt(0.5), math.sqrt(0.5)], beta=[1.0],
