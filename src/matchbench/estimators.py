@@ -209,7 +209,10 @@ def _exact_dot4(a: np.ndarray, b: np.ndarray) -> int:
     if n > _EXACT_DOT_MAX_N:
         raise NumericalError(f"rank objectives are exact only up to n = {_EXACT_DOT_MAX_N}, got n = {n}")
     chunk = 2**51 // (n * n)
-    return sum(int(4.0 * (a[i : i + chunk] @ b[i : i + chunk])) for i in range(0, n, chunk))
+    # numpy's own loop, not a BLAS dot: OpenBLAS threads its ddot at large
+    # n, and those threads spin on the CPUs the benchmark pool's other
+    # workers need. Exactness holds in any order, so the sum is unchanged.
+    return sum(int(4.0 * np.einsum("i,i->", a[i : i + chunk], b[i : i + chunk])) for i in range(0, n, chunk))
 
 
 def _rank_product_mean(rank_u: np.ndarray, rank_v: np.ndarray) -> float:

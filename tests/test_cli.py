@@ -344,20 +344,33 @@ class TestCounterexampleCommand:
         assert not (tmp_path / "counterexample.json").exists()
 
 
+def benchmark_at_cpu_counts(cfg, tmp_path, monkeypatch, counts):
+    """Run ``benchmark`` once per CPU count, assert the tables are
+    byte-identical, and return the first run's output directory."""
+    outs = [tmp_path / f"cpus{cpus}" for cpus in counts]
+    for cpus, out in zip(counts, outs):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("benchmark.csv", "benchmark_long.csv"):
+        assert len({(out / name).read_bytes() for out in outs}) == 1
+    return outs[0]
+
+
 class TestBenchmark:
     def test_table_shape_and_determinism(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "cfg.json", sweep=[200, 400], replications=3)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert main(["benchmark", "--config", str(cfg), "--out", str(out1)]) == 0
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert main(["benchmark", "--config", str(cfg), "--out", str(out2)]) == 0
-        assert (out1 / "benchmark.csv").read_bytes() == (out2 / "benchmark.csv").read_bytes()
-        assert (out1 / "benchmark_long.csv").read_bytes() == (out2 / "benchmark_long.csv").read_bytes()
-        lines = (out1 / "benchmark.csv").read_text().splitlines()
+        out = benchmark_at_cpu_counts(cfg, tmp_path, monkeypatch, (1, 3))
+        lines = (out / "benchmark.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2  # header + methods x sweep
-        long_lines = (out1 / "benchmark_long.csv").read_text().splitlines()
+        long_lines = (out / "benchmark_long.csv").read_text().splitlines()
         assert len(long_lines) == 1 + 2 * 2 * 3
+
+    def test_pool_output_independent_of_threads_at_large_n(self, tmp_path, monkeypatch):
+        # above n = 1e4 OpenBLAS threads a dot, so the pool's workers share
+        # the CPUs with BLAS threads; the tables must not notice
+        cfg = write_config(tmp_path / "cfg.json", sweep=[12000], replications=2,
+                           methods=["spearman"], spearman={"restarts": 1})
+        benchmark_at_cpu_counts(cfg, tmp_path, monkeypatch, (1, 2))
 
     def test_single_replication_leaves_sd_empty(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", sweep=[200], replications=1, methods=["cca"])

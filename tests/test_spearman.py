@@ -211,3 +211,18 @@ class TestEstimate:
         assert runs[0]["grid"] is None
         assert runs[0]["objective_evaluations"] == sum(n for n, _, _ in counts[0])
         assert runs[0]["objective_evaluations"] == runs[1]["objective_evaluations"]
+
+    @pytest.mark.parametrize("spec", [
+        counterexample_market(),
+        gaussian_market(np.eye(3), np.eye(2), [1.0, 2.0, 3.0], [3.0, 1.0]),
+    ], ids=["grid", "nelder-mead"])
+    def test_reported_objective_is_exact_above_ten_thousand(self, spec):
+        # beyond n = 1e4 a BLAS dot may thread; the reported objective is
+        # still the integer rank-product sum with one rounding
+        n = 20_000
+        sample = simulate_market(spec, n, seed=37)
+        result = spearman_estimate(sample, restarts=1, seed=3)
+        ru = average_ranks(sample.x_index(result.diagnostics["alpha_argmax"]))
+        rv = average_ranks(sample.y_index(result.diagnostics["beta_argmax"]))
+        reference = int((2 * ru).astype(np.int64) @ (2 * rv).astype(np.int64))
+        assert result.objective == reference / (4 * n * (n + 1) ** 2)
