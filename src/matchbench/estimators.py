@@ -256,6 +256,14 @@ def _unit_from_angles(theta: np.ndarray, d: int) -> np.ndarray:
     return w
 
 
+def _coarse_circle(grid_resolution: float) -> np.ndarray:
+    """The angles k pi/m for k < 2m, m = ceil(pi / step), so that point
+    k + m is the antipode of point k. At the default resolution this is
+    np.arange(0, 2 pi, 2 pi/512) bit for bit."""
+    m = math.ceil(math.pi / max(grid_resolution, _TWO_PI / 512.0))
+    return np.arange(2 * m) * (math.pi / m)
+
+
 class _RankEvaluator:
     """Average ranks of a projected index, with 1-D sides precomputed."""
 
@@ -283,18 +291,26 @@ def spearman_estimate(
     Multistart Nelder-Mead on spherical angle coordinates (the objective is
     scale-invariant per side, so spheres lose nothing), plus an angular
     grid sweep with local refinement when the search space is a single
-    circle (dx=2, dy=1). The objective need not be concave, so all local
-    optima found are kept in the diagnostics; candidates are merged by
-    strictly-better objective, which resolves ties by restart order.
+    circle (dx=2, dy=1); only the grid's first half is ranked, the
+    antipodal half follows exactly from reversed ranks. The objective need
+    not be concave, so all local optima found are kept in the diagnostics;
+    candidates are merged by strictly-better objective, which resolves ties
+    by restart order.
     """
     xev = _RankEvaluator(sample.xs)
     yev = _RankEvaluator(sample.ys)
+    n = sample.n
+    # the one rounding of _rank_product_mean
+    scale = 4 * n * (n + 1) * (n + 1)
     evaluations = 0
 
-    def value(alpha: np.ndarray, beta: np.ndarray) -> float:
+    def dot4(alpha: np.ndarray, beta: np.ndarray) -> int:
         nonlocal evaluations
         evaluations += 1
-        return _rank_product_mean(xev.ranks(alpha), yev.ranks(beta))
+        return _exact_dot4(xev.ranks(alpha), yev.ranks(beta))
+
+    def value(alpha: np.ndarray, beta: np.ndarray) -> float:
+        return dot4(alpha, beta) / scale
 
     ax = sample.dx - 1
     ay = sample.dy - 1
@@ -339,11 +355,14 @@ def spearman_estimate(
     grid_info = None
     if sample.dx == 2 and sample.dy == 1:
         beta_grid = np.array([1.0])
-        coarse_step = max(grid_resolution, _TWO_PI / 512.0)
-        coarse = np.arange(0.0, _TWO_PI, coarse_step)
-        coarse_vals = np.array(
-            [value(_unit_from_angles(np.array([t]), 2), beta_grid) for t in coarse]
-        )
+        coarse = _coarse_circle(grid_resolution)
+        m = coarse.size // 2
+        coarse_step = math.pi / m
+        # only the first half is sorted: the ranks of -u are n + 1 - r_u,
+        # ties included, and the y ranks sum to n(n + 1)/2, so the
+        # antipode's exact dot is 2n(n + 1)^2 - d
+        dots = [dot4(_unit_from_angles(coarse[k : k + 1], 2), beta_grid) for k in range(m)]
+        coarse_vals = np.array([d / scale for d in dots] + [(scale // 2 - d) / scale for d in dots])
         order = np.argsort(coarse_vals)[::-1]
         picked: list[float] = []
         for idx in order:
@@ -362,6 +381,7 @@ def spearman_estimate(
                 candidates.append((obj, alpha, beta_grid))
         grid_info = {
             "coarse_points": int(coarse.size),
+            "mirrored_points": m,
             "fine_points": int(fine_evals),
             "resolution": float(grid_resolution),
             "refined_centers": picked,

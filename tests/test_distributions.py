@@ -250,6 +250,20 @@ class TestAverageRanks:
         values = values + [values[i % len(values)] for i in picks]
         assert average_ranks(values).tobytes() == _searchsorted_ranks(values).tobytes()
 
+    @given(
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=50),
+        st.lists(st.integers(0, 49), max_size=50),
+        st.lists(st.sampled_from([0.0, -0.0]), max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_negation_reverses_ranks_exactly(self, values, picks, zeros):
+        # the identity behind the 1-D rank shortcut and the antipodal half
+        # of the Spearman grid: the ranks of -u are n + 1 - r_u, ties included
+        values = values + [values[i % len(values)] for i in picks] + zeros
+        arr = np.array(values)
+        expected = (arr.size + 1) - average_ranks(arr)
+        assert average_ranks(-arr).tobytes() == expected.tobytes()
+
     def test_rank_transform_is_the_empirical_cdf(self, rng):
         values = np.round(rng.normal(size=1000), 1)
         expected = _searchsorted_ranks(values) / (values.size + 1)

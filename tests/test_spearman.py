@@ -17,7 +17,14 @@ from matchbench import (
 )
 from matchbench.distributions import average_ranks
 from matchbench.errors import NumericalError
-from matchbench.estimators import _EXACT_DOT_MAX_N, _exact_dot4, _rank_product_mean
+from matchbench import estimators
+from matchbench.estimators import (
+    _EXACT_DOT_MAX_N,
+    _coarse_circle,
+    _exact_dot4,
+    _rank_product_mean,
+    _unit_from_angles,
+)
 
 
 def comonotone_sample(n: int) -> MatchedSample:
@@ -196,11 +203,28 @@ class TestEstimate:
         for entry in restarts:
             assert isinstance(entry["success"], bool)
             assert 0 < entry["nit"] <= entry["nfev"]
-        # every objective evaluation is a Nelder-Mead or an angular-grid point
+        # every sorted evaluation is a Nelder-Mead point, a fine-grid point
+        # or a coarse point whose antipode is mirrored rather than sorted
         grid = runs[0]["grid"]
-        assert runs[0]["objective_evaluations"] == (
+        assert grid["mirrored_points"] == grid["coarse_points"] // 2 == 256
+        assert runs[0]["objective_evaluations"] + grid["mirrored_points"] == (
             sum(o["nfev"] for o in restarts) + grid["coarse_points"] + grid["fine_points"]
         )
+
+    def test_every_sorted_evaluation_is_counted(self, monkeypatch):
+        sample = simulate_market(counterexample_market(), 2_000, seed=31)
+        calls = 0
+        real = estimators.average_ranks
+
+        def counting(values):
+            nonlocal calls
+            calls += 1
+            return real(values)
+
+        monkeypatch.setattr(estimators, "average_ranks", counting)
+        result = spearman_estimate(sample, restarts=2, seed=7)
+        # the one extra call ranks the y side once, up front
+        assert calls == result.diagnostics["objective_evaluations"] + 1
 
     def test_gaussian_restarts_report_convergence(self):
         spec = gaussian_market(np.eye(3), np.eye(2), [1.0, 2.0, 3.0], [3.0, 1.0])
@@ -226,3 +250,47 @@ class TestEstimate:
         rv = average_ranks(sample.y_index(result.diagnostics["beta_argmax"]))
         reference = int((2 * ru).astype(np.int64) @ (2 * rv).astype(np.int64))
         assert result.objective == reference / (4 * n * (n + 1) ** 2)
+
+
+class TestMirroredGrid:
+    def test_default_grid_is_the_full_circle_arange(self):
+        grid = _coarse_circle(1e-3)
+        assert grid.tobytes() == np.arange(0.0, 2.0 * np.pi, 2.0 * np.pi / 512.0).tobytes()
+
+    def test_coarse_step_above_default_keeps_antipodes_on_the_grid(self):
+        grid = _coarse_circle(0.1)
+        m = grid.size // 2
+        assert m == 32
+        np.testing.assert_allclose(grid[m:] - grid[:m], np.pi, rtol=0, atol=1e-14)
+
+    def test_antipode_dot_is_the_reversed_rank_dot(self):
+        n = 20_000
+        sample = simulate_market(counterexample_market(), n, seed=47)
+        rank_v = average_ranks(sample.ys[:, 0])
+        grid = _coarse_circle(1e-3)
+        for t in grid[: grid.size // 2]:
+            u = sample.xs @ _unit_from_angles(np.array([t]), 2)
+            mirrored = 2 * n * (n + 1) ** 2 - _exact_dot4(average_ranks(u), rank_v)
+            assert mirrored == _exact_dot4(average_ranks(-u), rank_v)
+
+
+# alpha_argmax bytes, objective and refined centres of
+# spearman_estimate(sample, restarts=2) on the benchmark market at
+# n = 10,000, recorded before the antipodal half of the coarse grid was
+# mirrored instead of sorted; a change that moves them should be deliberate
+PINNED_SEARCH = {
+    41: [0.7853981633974483, 0.760854470791278, 0.8099418560036186],
+    42: [0.7853981633974483, 0.8099418560036186, 0.760854470791278],
+    43: [0.7853981633974483, 0.8099418560036186, 0.760854470791278],
+}
+PINNED_ALPHA = "d0d893ab9ea0e63ff69d6a219ea0e63f"
+PINNED_OBJECTIVE = 0.3333166683331667
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_SEARCH))
+def test_search_pinned_on_benchmark_market(seed):
+    sample = simulate_market(counterexample_market(), 10_000, seed=seed)
+    result = spearman_estimate(sample, restarts=2)
+    assert result.diagnostics["alpha_argmax"].tobytes().hex() == PINNED_ALPHA
+    assert result.objective == PINNED_OBJECTIVE
+    assert result.diagnostics["grid"]["refined_centers"] == PINNED_SEARCH[seed]
