@@ -43,28 +43,26 @@ from .saliency import rank1_weights, svd_decompose
 from .distributions import gaussian
 
 
-def _spearman(sample: MatchedSample, config: ExperimentConfig, seed: int):
-    return spearman_estimate(
-        sample,
-        restarts=int(config.spearman.get("restarts", 32)),
-        seed=seed,
-        grid_resolution=float(config.spearman.get("grid_resolution", 1e-3)),
-    )
-
-
 # Method name -> estimator of (sample, config, seed). Every entry looks its
 # estimator up by global name when called, so a wrapper installed on this
 # module's attributes (a tracer, a test double) sees the call.
 ESTIMATORS = {
     "cca": lambda sample, config, seed: cca(compute_moments(sample)),
     "ols": lambda sample, config, seed: ols_index(sample),
-    "spearman": _spearman,
-    "mrs": lambda sample, config, seed: mrs_estimate(sample).to_result(),
+    "spearman": lambda sample, config, seed: spearman_estimate(sample, config.spearman.get("restarts", 32), seed),
+    "mrs": lambda sample, config, seed: mrs_estimate(sample),
 }
 DATA_METHODS = tuple(ESTIMATORS)
 ALL_METHODS = DATA_METHODS + ("saliency",)
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+
+
+def _count(key: str, value) -> int:
+    """``value``, checked to be an integer >= 0 (not a bool, float or string)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{key}: must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _derived_seed(seed: int, *tags: int) -> int:
@@ -88,6 +86,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ConfigError("n: need at least 2")
+        _count("seed", self.seed)
         if not self.methods:
             raise ConfigError("methods: must not be empty")
         for m in self.methods:
@@ -115,7 +114,16 @@ class ExperimentConfig:
         spearman = obj.get("spearman", {})
         if not isinstance(spearman, dict):
             raise ConfigError("spearman: must be an object")
+        for key in sorted(set(spearman) - {"restarts"}):
+            raise ConfigError(f"spearman.{key}: unknown key (the block takes only restarts)")
+        if "restarts" in spearman:
+            _count("spearman.restarts", spearman["restarts"])
         affinity = obj.get("affinity")
+        if affinity is not None:
+            try:
+                affinity = np.asarray(affinity, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"affinity: not a numeric matrix ({exc})") from exc
 
         def read(key, convert, default):
             value = obj.get(key, default)
@@ -127,13 +135,13 @@ class ExperimentConfig:
         return ExperimentConfig(
             market=market,
             n=read("n", int, 1000),
-            seed=read("seed", int, 0),
+            seed=obj.get("seed", 0),
             methods=read("methods", tuple, ["cca"]),
             sweep=read("sweep", lambda v: tuple(int(x) for x in v), None) if "sweep" in obj else None,
             replications=read("replications", int, 1),
             out_dir=obj.get("out_dir"),
             spearman=spearman,
-            affinity=np.asarray(affinity, dtype=float) if affinity is not None else None,
+            affinity=affinity,
         )
 
 

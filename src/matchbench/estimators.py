@@ -256,12 +256,13 @@ def _unit_from_angles(theta: np.ndarray, d: int) -> np.ndarray:
     return w
 
 
-def _coarse_circle(grid_resolution: float) -> np.ndarray:
-    """The angles k pi/m for k < 2m, m = ceil(pi / step), so that point
-    k + m is the antipode of point k. At the default resolution this is
-    np.arange(0, 2 pi, 2 pi/512) bit for bit."""
-    m = math.ceil(math.pi / max(grid_resolution, _TWO_PI / 512.0))
-    return np.arange(2 * m) * (math.pi / m)
+# The coarse circle of the dx=2, dy=1 search: the 512 angles k pi/256, so
+# point k + 256 is the antipode of point k (bit for bit
+# np.arange(0, 2 pi, 2 pi/512)). The best three coarse angles are refined
+# on a fine grid one coarse step either side.
+_COARSE_STEP = math.pi / 256
+_COARSE_CIRCLE = np.arange(512) * _COARSE_STEP
+_FINE_STEP = 1e-3
 
 
 class _RankEvaluator:
@@ -280,19 +281,15 @@ class _RankEvaluator:
         return average_ranks(self.columns @ w)
 
 
-def spearman_estimate(
-    sample: MatchedSample,
-    restarts: int = 32,
-    seed: int = 0,
-    grid_resolution: float = 1e-3,
-) -> EstimatorResult:
+def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) -> EstimatorResult:
     """Maximize the rank-product objective over unit weight vectors.
 
     Multistart Nelder-Mead on spherical angle coordinates (the objective is
     scale-invariant per side, so spheres lose nothing), plus an angular
     grid sweep with local refinement when the search space is a single
-    circle (dx=2, dy=1); only the grid's first half is ranked, the
-    antipodal half follows exactly from reversed ranks. The objective need
+    circle (dx=2, dy=1): 512 coarse angles, of which only the first half is
+    ranked since the antipodal half follows exactly from reversed ranks,
+    then a 1e-3 fine grid around the best three. The objective need
     not be concave, so all local optima found are kept in the diagnostics;
     candidates are merged by strictly-better objective, which resolves ties
     by restart order.
@@ -355,35 +352,33 @@ def spearman_estimate(
     grid_info = None
     if sample.dx == 2 and sample.dy == 1:
         beta_grid = np.array([1.0])
-        coarse = _coarse_circle(grid_resolution)
-        m = coarse.size // 2
-        coarse_step = math.pi / m
+        m = _COARSE_CIRCLE.size // 2
         # only the first half is sorted: the ranks of -u are n + 1 - r_u,
         # ties included, and the y ranks sum to n(n + 1)/2, so the
         # antipode's exact dot is 2n(n + 1)^2 - d
-        dots = [dot4(_unit_from_angles(coarse[k : k + 1], 2), beta_grid) for k in range(m)]
+        dots = [dot4(_unit_from_angles(_COARSE_CIRCLE[k : k + 1], 2), beta_grid) for k in range(m)]
         coarse_vals = np.array([d / scale for d in dots] + [(scale // 2 - d) / scale for d in dots])
         order = np.argsort(coarse_vals)[::-1]
         picked: list[float] = []
         for idx in order:
-            t = float(coarse[idx])
-            if all(min(abs(t - s), _TWO_PI - abs(t - s)) > 2.0 * coarse_step for s in picked):
+            t = float(_COARSE_CIRCLE[idx])
+            if all(min(abs(t - s), _TWO_PI - abs(t - s)) > 2.0 * _COARSE_STEP for s in picked):
                 picked.append(t)
             if len(picked) == 3:
                 break
         fine_evals = 0
         for center in picked:
-            fine = np.arange(center - coarse_step, center + coarse_step + 0.5 * grid_resolution, grid_resolution)
+            fine = np.arange(center - _COARSE_STEP, center + _COARSE_STEP + 0.5 * _FINE_STEP, _FINE_STEP)
             fine_evals += fine.size
             for t in fine:
                 alpha = _unit_from_angles(np.array([t]), 2)
                 obj = value(alpha, beta_grid)
                 candidates.append((obj, alpha, beta_grid))
         grid_info = {
-            "coarse_points": int(coarse.size),
+            "coarse_points": _COARSE_CIRCLE.size,
             "mirrored_points": m,
             "fine_points": int(fine_evals),
-            "resolution": float(grid_resolution),
+            "resolution": _FINE_STEP,
             "refined_centers": picked,
         }
 
@@ -476,48 +471,8 @@ def kernel_regression(sample: MatchedSample, response_coordinate: int, points, b
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class MrsResult:
-    """Pairwise weight-ratio estimates from conditional-mean derivatives.
-
-    ratio_matrix[i, j] is the median over evaluation points of the i-th
-    partial derivative over the j-th. ``stable[j]`` is False when the j-th
-    derivative has no consistent signal across spread-out probe points, in
-    which case column j ratios should not be trusted.
-    """
-
-    ratio_matrix: np.ndarray
-    derivatives: np.ndarray
-    eval_points: np.ndarray
-    bandwidths: np.ndarray
-    stable: np.ndarray
-    in_hull: np.ndarray
-    diagnostics: dict
-
-    def to_result(self) -> EstimatorResult:
-        med = np.median(self.derivatives, axis=0)
-        norm = np.linalg.norm(med)
-        if norm == 0.0:
-            raise NumericalError("no derivative signal at any evaluation point")
-        k = self.diagnostics["response_coordinate"]
-        beta = np.zeros(self.diagnostics["dy"])
-        beta[k] = 1.0
-        return EstimatorResult(
-            alpha_hat=normalize_weights(med),
-            beta_hat=beta,
-            objective=math.nan,
-            method="mrs",
-            diagnostics={
-                "ratio_matrix": self.ratio_matrix,
-                "stable": self.stable,
-                "bandwidths": self.bandwidths,
-                "median_derivatives": med,
-                **self.diagnostics,
-            },
-        )
-
-
-def _derivatives_at(sample: MatchedSample, k: int, pts: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _derivatives_at(sample: MatchedSample, pts: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Central-difference partial derivatives of the y1 kernel fit, one row per point."""
     dx = pts.shape[1]
     stacked = []
     for i in range(dx):
@@ -525,73 +480,67 @@ def _derivatives_at(sample: MatchedSample, k: int, pts: np.ndarray, h: np.ndarra
         step[i] = h[i] / 2.0
         stacked.append(pts + step)
         stacked.append(pts - step)
-    values = kernel_regression(sample, k, np.vstack(stacked), h)
+    values = kernel_regression(sample, 0, np.vstack(stacked), h)
     values = values.reshape(dx, 2, pts.shape[0])
     return np.stack([(values[i, 0] - values[i, 1]) / h[i] for i in range(dx)], axis=1)
 
 
-def mrs_estimate(
-    sample: MatchedSample,
-    response_coordinate: int = 0,
-    eval_points=None,
-) -> MrsResult:
-    """Estimate pairwise x-weight ratios from kernel-regression derivatives.
-
-    Bandwidths follow the 1.06 * sd * n^(-1/5) rule per coordinate with a
-    central-difference step of half a bandwidth. Default evaluation points
-    are the 100 sample points nearest the attribute centroid (distances
-    scaled by column standard deviations); the stability probe uses
-    deterministically spread sample rows instead, since clustered centers
-    carry no dispersion information.
-    """
+def _mrs_design(sample: MatchedSample) -> tuple[np.ndarray, np.ndarray]:
+    """The evaluation points and bandwidths of ``mrs_estimate``."""
     X = sample.xs
-    n, dx = X.shape
     sds = X.std(axis=0)
     if np.any(sds == 0.0):
         raise NumericalError("bandwidth degenerate: an x attribute has zero variance")
-    h = 1.06 * sds * n ** (-0.2)
+    dist = np.sum(((X - X.mean(axis=0)) / sds) ** 2, axis=1)
+    return X[np.argsort(dist, kind="stable")[:100]], 1.06 * sds * sample.n ** (-0.2)
 
-    if eval_points is None:
-        eval_points = 100
-    if isinstance(eval_points, (int, np.integer)):
-        count = min(int(eval_points), n)
-        dist = np.sum(((X - X.mean(axis=0)) / sds) ** 2, axis=1)
-        pts = X[np.argsort(dist, kind="stable")[:count]]
-    else:
-        pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
-        if pts.shape[1] != dx:
-            raise ValueError("evaluation points must have dx columns")
 
-    lo, hi = X.min(axis=0), X.max(axis=0)
-    in_hull = np.all((pts >= lo) & (pts <= hi), axis=1)
+def mrs_estimate(sample: MatchedSample) -> EstimatorResult:
+    """Estimate pairwise x-weight ratios from kernel-regression derivatives of y1.
 
-    derivs = _derivatives_at(sample, response_coordinate, pts, h)
+    Bandwidths follow the 1.06 * sd * n^(-1/5) rule per coordinate with a
+    central-difference step of half a bandwidth, at the 100 sample rows
+    nearest the attribute centroid (distances scaled by column standard
+    deviations). ``ratio_matrix[i, j]`` is the median of the i-th partial
+    derivative over the j-th; ``stable[j]`` is False when the j-th
+    derivative has no consistent signal across deterministically spread
+    sample rows (clustered centers carry no dispersion information), and
+    then column j ratios should not be trusted. alpha is the normalized
+    median derivative, beta the unit vector on y1.
+    """
+    pts, h = _mrs_design(sample)
+    derivs = _derivatives_at(sample, pts, h)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.median(derivs[:, :, None] / derivs[:, None, :], axis=0)
 
-    spread_rows = np.unique(np.linspace(0, n - 1, min(100, n)).astype(int))
-    spread = _derivatives_at(sample, response_coordinate, X[spread_rows], h)
-    med = np.median(spread, axis=0)
-    mad = 1.4826 * np.median(np.abs(spread - med), axis=0)
+    spread_rows = np.unique(np.linspace(0, sample.n - 1, min(100, sample.n)).astype(int))
+    spread = _derivatives_at(sample, sample.xs[spread_rows], h)
+    spread_med = np.median(spread, axis=0)
+    mad = 1.4826 * np.median(np.abs(spread - spread_med), axis=0)
     # signal must be sign-consistent across spread points and move the
     # response by more than a negligible fraction of its spread per bandwidth
-    floor = 1e-6 * sample.ys[:, response_coordinate].std() / h
-    consistent = np.where(mad > 0, np.abs(med) > 2.0 * mad, np.abs(med) > 0)
-    stable = consistent & (np.abs(med) > floor)
+    floor = 1e-6 * sample.ys[:, 0].std() / h
+    consistent = np.where(mad > 0, np.abs(spread_med) > 2.0 * mad, np.abs(spread_med) > 0)
+    stable = consistent & (np.abs(spread_med) > floor)
 
-    return MrsResult(
-        ratio_matrix=ratios,
-        derivatives=derivs,
-        eval_points=pts,
-        bandwidths=h,
-        stable=stable,
-        in_hull=in_hull,
+    med = np.median(derivs, axis=0)
+    if np.linalg.norm(med) == 0.0:
+        raise NumericalError("no derivative signal at any evaluation point")
+    return EstimatorResult(
+        alpha_hat=normalize_weights(med),
+        beta_hat=np.eye(sample.dy)[0],
+        objective=math.nan,
+        method="mrs",
         diagnostics={
+            "ratio_matrix": ratios,
+            "stable": stable,
+            "bandwidths": h,
+            "median_derivatives": med,
             "bandwidth_rule": "1.06*sd*n^(-1/5)",
             "derivative_step": "h/2",
-            "n": n,
+            "n": sample.n,
             "dy": sample.dy,
-            "response_coordinate": int(response_coordinate),
+            "response_coordinate": 0,
             "eval_point_count": int(pts.shape[0]),
         },
     )

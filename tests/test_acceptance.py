@@ -174,7 +174,7 @@ def test_criterion_06_spearman_bound():
 def test_criterion_07_spearman_recovery():
     spec = counterexample_market()
     sample = simulate_market(spec, 100_000, seed=707)
-    result = spearman_estimate(sample, restarts=4, seed=0, grid_resolution=1e-3)
+    result = spearman_estimate(sample, restarts=4, seed=0)
     ratio = result.alpha_hat[1] / result.alpha_hat[0]
     at_truth = spearman_objective(sample, spec.alpha, spec.beta)
     cca_alpha = cca(compute_moments(sample)).alpha_hat
@@ -224,7 +224,7 @@ def test_criterion_09_mrs_sanity():
     alpha = np.array([1.0, 2.0]) / math.sqrt(5.0)
     sample = MatchedSample(xs=xs, ys=(xs @ alpha).reshape(-1, 1))
     result = mrs_estimate(sample)
-    ratio = result.ratio_matrix[0, 1]
+    ratio = result.diagnostics["ratio_matrix"][0, 1]
     ok = abs(ratio - 0.5) <= 0.1
     _report(9, ok, f"median derivative ratio {ratio:.4f} within 0.1 of 0.5 at n=1e4")
 

@@ -4,11 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matchbench
 from matchbench import ConfigError, MatchedSample
@@ -63,7 +66,21 @@ class TestConfig:
         ("n", None, "n:"),
         ("seed", None, "seed:"),
         ("sweep", None, "sweep:"),
-    ], ids=["no-dx", "no-dy", "no-alpha", "no-beta", "null-dx", "null-n", "null-seed", "null-sweep"])
+        ("seed", -1, "seed:"),
+        ("seed", 1.5, "seed:"),
+        ("affinity", [[1.0, 2.0], [3.0]], "affinity:"),
+        ("affinity", [["a"], ["b"]], "affinity:"),
+        ("spearman", {"grid_resolution": 0}, "spearman.grid_resolution:"),
+        ("spearman", {"grid_resolution": 1e-13}, "spearman.grid_resolution:"),
+        ("spearman", {"restart": 2}, "spearman.restart:"),
+        ("spearman", {"restarts": [1]}, "spearman.restarts:"),
+        ("spearman", {"restarts": 2.7}, "spearman.restarts:"),
+        ("spearman", {"restarts": True}, "spearman.restarts:"),
+        ("spearman", {"restarts": -1}, "spearman.restarts:"),
+    ], ids=["no-dx", "no-dy", "no-alpha", "no-beta", "null-dx", "null-n", "null-seed", "null-sweep",
+            "negative-seed", "float-seed", "ragged-affinity", "text-affinity", "zero-grid-resolution",
+            "tiny-grid-resolution", "restart-typo", "list-restarts", "float-restarts", "bool-restarts",
+            "negative-restarts"])
     def test_missing_or_null_field_is_named(self, tmp_path, capsys, key, value, shown):
         config = {"market": dict(COUNTEREXAMPLE_MARKET), "n": 400, "seed": 7}
         target = config["market"] if key.startswith("market.") else config
@@ -106,6 +123,44 @@ class TestConfig:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+# Any JSON value, with integers kept small so no draw asks for a long search.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_sample(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "sample.csv"
+    matchbench.simulate_market(matchbench.counterexample_market(), 200, seed=5).to_csv(path)
+    return path
+
+
+class TestConfigFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spearman=st.just(MISSING) | JSON_VALUES
+        | st.dictionaries(st.sampled_from(["restarts", "restart", "grid_resolution"]), JSON_VALUES, max_size=2),
+        seed=st.just(MISSING) | JSON_VALUES,
+        affinity=st.just(MISSING) | JSON_VALUES
+        | st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3),
+                   min_size=1, max_size=3),
+    )
+    def test_estimate_exits_with_a_code_never_a_traceback(self, fuzz_sample, spearman, seed, affinity):
+        config = {"market": COUNTEREXAMPLE_MARKET, "methods": ["cca", "spearman", "saliency"]}
+        for key, value in (("spearman", spearman), ("seed", seed), ("affinity", affinity)):
+            if value is not MISSING:
+                config[key] = value
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "cfg.json"
+            path.write_text(json.dumps(config))
+            rc = main(["estimate", "--config", str(path), "--sample", str(fuzz_sample), "--out", out])
+        assert rc in (0, 2, 3)
 
 
 class TestSimulate:

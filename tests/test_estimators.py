@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from matchbench import (
     simulate_market,
     uniform01,
 )
-from matchbench.estimators import _pairwise_sum, kernel_regression
+from matchbench.estimators import _derivatives_at, _mrs_design, _pairwise_sum, kernel_regression
 from matchbench.market import MarketSpec
 
 E2 = math.exp(-2.0)
@@ -228,40 +229,62 @@ class TestPopulationMoments:
         assert abs(result.objective - 1.0) < 1e-12
 
 
+# json.dumps(report, sort_keys=True) of mrs_estimate on the benchmark market
+# (n = 5,000, seed 61) and on a Gaussian dx=3, dy=2 market (n = 3,000,
+# seed 62), recorded while MRS still had its own result type; the report
+# file is this dict, so a change that moves it should be deliberate
+PINNED_MRS_BENCHMARK = (
+    '{"alpha": [0.0, 1.0], "beta": [1.0], "diagnostics": {"bandwidth_rule": "1.06*sd*n^(-1/5)", '
+    '"bandwidths": [0.19297677957369433, 0.19551066370809408], "derivative_step": "h/2", "dy": 1, '
+    '"eval_point_count": 100, "median_derivatives": [0.0, 0.22485741808314688], "n": 5000, '
+    '"ratio_matrix": [[null, 0.0], [null, 1.0]], "response_coordinate": 0, "stable": [false, true]}, '
+    '"method": "mrs", "objective": null}'
+)
+PINNED_MRS_GAUSSIAN_3X2 = (
+    '{"alpha": [0.2555288025645933, 0.48479156880226953, 0.8364700627506877], "beta": [1.0, 0.0], '
+    '"diagnostics": {"bandwidth_rule": "1.06*sd*n^(-1/5)", '
+    '"bandwidths": [0.2163968396404109, 0.21025902835987215, 0.2077007912897887], '
+    '"derivative_step": "h/2", "dy": 2, "eval_point_count": 100, '
+    '"median_derivatives": [0.24228226189079183, 0.45966011133053514, 0.7931076918655373], "n": 3000, '
+    '"ratio_matrix": [[1.0, 0.5429038798724279, 0.31586604110924743], '
+    '[1.838245327734012, 1.0, 0.6006850980084704], [3.1456836455411854, 1.6648966996315275, 1.0]], '
+    '"response_coordinate": 0, "stable": [false, false, true]}, "method": "mrs", "objective": null}'
+)
+
+
 class TestMrs:
     def test_linear_single_index_ratio(self, rng):
         xs = rng.normal(size=(10_000, 2))
         alpha = np.array([1.0, 2.0]) / math.sqrt(5.0)
         sample = MatchedSample(xs=xs, ys=(xs @ alpha).reshape(-1, 1))
         result = mrs_estimate(sample)
-        assert abs(result.ratio_matrix[0, 1] - 0.5) < 0.1
-        assert result.stable.all()
-        assert result.in_hull.all()
+        assert abs(result.diagnostics["ratio_matrix"][0, 1] - 0.5) < 0.1
+        assert result.diagnostics["stable"].all()
 
     def test_independent_response_flagged_unstable(self, rng):
         sample = MatchedSample(xs=rng.normal(size=(10_000, 2)), ys=rng.normal(size=(10_000, 1)))
         result = mrs_estimate(sample)
-        assert not result.stable.any()
+        assert not result.diagnostics["stable"].any()
 
     def test_discrete_attribute_has_no_kernel_derivative(self):
         # the coin coordinate of the benchmark market sits 2/h bandwidths from
         # its twin atom, so its fitted partial derivative is numerically zero
         sample = simulate_market(counterexample_market(), 20_000, seed=19)
-        result = mrs_estimate(sample)
-        assert np.max(np.abs(result.derivatives[:, 0])) < 1e-9
-        assert not result.stable[0]
+        derivatives = _derivatives_at(sample, *_mrs_design(sample))
+        assert np.max(np.abs(derivatives[:, 0])) < 1e-9
+        assert not mrs_estimate(sample).diagnostics["stable"][0]
 
     def test_derivatives_match_refit_at_shifted_points(self, rng):
         xs = rng.normal(size=(2_000, 2))
         sample = MatchedSample(xs=xs, ys=(xs @ np.array([1.0, 1.0])).reshape(-1, 1))
-        result = mrs_estimate(sample, eval_points=xs[:5])
-        h = result.bandwidths
+        _, h = _mrs_design(sample)
+        derivatives = _derivatives_at(sample, xs[:5], h)
         for i in range(2):
             step = np.zeros(2)
             step[i] = h[i] / 2.0
             refit = (kernel_regression(sample, 0, xs[:5] + step, h)
                      - kernel_regression(sample, 0, xs[:5] - step, h)) / h[i]
-            np.testing.assert_allclose(result.derivatives[:, i], refit, atol=1e-6)
+            np.testing.assert_allclose(derivatives[:, i], refit, atol=1e-6)
 
     def test_zero_variance_attribute_rejected(self):
         sample = MatchedSample(xs=np.column_stack([np.ones(50), np.arange(50.0)]),
@@ -269,13 +292,13 @@ class TestMrs:
         with pytest.raises(NumericalError):
             mrs_estimate(sample)
 
-    def test_outside_hull_flagged(self, rng):
-        xs = rng.normal(size=(1_000, 2))
-        sample = MatchedSample(xs=xs, ys=(xs @ np.array([1.0, 1.0])).reshape(-1, 1))
-        far = np.array([[50.0, 0.0]])
-        result = mrs_estimate(sample, eval_points=np.vstack([xs[:3], far]))
-        assert result.in_hull[:3].all()
-        assert not result.in_hull[3]
+    @pytest.mark.parametrize("sample, expected", [
+        (lambda: simulate_market(counterexample_market(), 5_000, seed=61), PINNED_MRS_BENCHMARK),
+        (lambda: simulate_market(gaussian_market(np.eye(3), np.eye(2), [1.0, 2.0, 3.0], [3.0, 1.0]), 3_000, seed=62),
+         PINNED_MRS_GAUSSIAN_3X2),
+    ], ids=["benchmark", "gaussian-3x2"])
+    def test_report_pinned(self, sample, expected):
+        assert json.dumps(mrs_estimate(sample()).to_json_dict(), sort_keys=True) == expected
 
 
 def broadcast_kernel_regression(sample, response_coordinate, points, bandwidths):

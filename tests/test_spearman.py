@@ -19,8 +19,8 @@ from matchbench.distributions import average_ranks
 from matchbench.errors import NumericalError
 from matchbench import estimators
 from matchbench.estimators import (
+    _COARSE_CIRCLE,
     _EXACT_DOT_MAX_N,
-    _coarse_circle,
     _exact_dot4,
     _rank_product_mean,
     _unit_from_angles,
@@ -161,7 +161,7 @@ class TestEstimate:
 
     def test_counterexample_recovery_smoke(self):
         sample = simulate_market(counterexample_market(), 10_000, seed=23)
-        result = spearman_estimate(sample, restarts=4, seed=0, grid_resolution=1e-3)
+        result = spearman_estimate(sample, restarts=4, seed=0)
         ratio = result.alpha_hat[1] / result.alpha_hat[0]
         assert abs(ratio - 1.0) < 0.1
         assert result.diagnostics["grid"] is not None
@@ -254,21 +254,13 @@ class TestEstimate:
 
 class TestMirroredGrid:
     def test_default_grid_is_the_full_circle_arange(self):
-        grid = _coarse_circle(1e-3)
-        assert grid.tobytes() == np.arange(0.0, 2.0 * np.pi, 2.0 * np.pi / 512.0).tobytes()
-
-    def test_coarse_step_above_default_keeps_antipodes_on_the_grid(self):
-        grid = _coarse_circle(0.1)
-        m = grid.size // 2
-        assert m == 32
-        np.testing.assert_allclose(grid[m:] - grid[:m], np.pi, rtol=0, atol=1e-14)
+        assert _COARSE_CIRCLE.tobytes() == np.arange(0.0, 2.0 * np.pi, 2.0 * np.pi / 512.0).tobytes()
 
     def test_antipode_dot_is_the_reversed_rank_dot(self):
         n = 20_000
         sample = simulate_market(counterexample_market(), n, seed=47)
         rank_v = average_ranks(sample.ys[:, 0])
-        grid = _coarse_circle(1e-3)
-        for t in grid[: grid.size // 2]:
+        for t in _COARSE_CIRCLE[:256]:
             u = sample.xs @ _unit_from_angles(np.array([t]), 2)
             mirrored = 2 * n * (n + 1) ** 2 - _exact_dot4(average_ranks(u), rank_v)
             assert mirrored == _exact_dot4(average_ranks(-u), rank_v)
