@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,7 @@ from .distributions import gaussian
 ESTIMATORS = {
     "cca": lambda sample, config, seed: cca(compute_moments(sample)),
     "ols": lambda sample, config, seed: ols_index(sample),
-    "spearman": lambda sample, config, seed: spearman_estimate(sample, config.spearman.get("restarts", 32), seed),
+    "spearman": lambda sample, config, seed: spearman_estimate(sample, config.restarts, seed),
     "mrs": lambda sample, config, seed: mrs_estimate(sample),
 }
 DATA_METHODS = tuple(ESTIMATORS)
@@ -58,11 +58,10 @@ ALL_METHODS = DATA_METHODS + ("saliency",)
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
-def _count(key: str, value) -> int:
-    """``value``, checked to be an integer >= 0 (not a bool, float or string)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"{key}: must be a non-negative integer, got {value!r}")
-    return value
+def _count(key: str, value, minimum: int) -> None:
+    """Raise unless ``value`` is an integer >= ``minimum`` (not a bool, float or string)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{key}: must be an integer >= {minimum}, got {value!r}")
 
 
 def _derived_seed(seed: int, *tags: int) -> int:
@@ -71,31 +70,45 @@ def _derived_seed(seed: int, *tags: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """One experiment: a market, sample size, seed, and requested methods."""
+    """One experiment: a market, sample size, seed, and requested methods.
+
+    Every value is checked here, once, whether it comes from a JSON file or
+    from a command-line override; JSON lists become tuples.
+    """
 
     market: MarketSpec
     n: int = 1000
     seed: int = 0
     methods: tuple[str, ...] = ("cca",)
-    sweep: tuple[int, ...] | None = None
+    sweep: tuple[int, ...] = ()
     replications: int = 1
     out_dir: str | None = None
-    spearman: dict = field(default_factory=dict)
+    restarts: int = 32
     affinity: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError("n: need at least 2")
-        _count("seed", self.seed)
-        if not self.methods:
-            raise ConfigError("methods: must not be empty")
+        _count("n", self.n, 2)
+        _count("seed", self.seed, 0)
+        _count("replications", self.replications, 1)
+        _count("spearman.restarts", self.restarts, 0)
+        if not isinstance(self.methods, (list, tuple)) or not self.methods:
+            raise ConfigError(f"methods: must be a non-empty list of method names, got {self.methods!r}")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ConfigError(f"methods: unknown method {m!r} (choose from {ALL_METHODS})")
-        if self.replications < 1:
-            raise ConfigError("replications: must be >= 1")
-        if self.sweep is not None and any(int(v) < 2 for v in self.sweep):
-            raise ConfigError("sweep: every sample size must be >= 2")
+        if not isinstance(self.sweep, (list, tuple)):
+            raise ConfigError(f"sweep: must be a list of sample sizes, got {self.sweep!r}")
+        for size in self.sweep:
+            _count("sweep", size, 2)
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir: must be a string, got {self.out_dir!r}")
+        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "sweep", tuple(self.sweep))
+        if self.affinity is not None:
+            try:
+                object.__setattr__(self, "affinity", np.asarray(self.affinity, dtype=float))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"affinity: not a numeric matrix ({exc})") from exc
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ExperimentConfig":
@@ -116,33 +129,8 @@ class ExperimentConfig:
             raise ConfigError("spearman: must be an object")
         for key in sorted(set(spearman) - {"restarts"}):
             raise ConfigError(f"spearman.{key}: unknown key (the block takes only restarts)")
-        if "restarts" in spearman:
-            _count("spearman.restarts", spearman["restarts"])
-        affinity = obj.get("affinity")
-        if affinity is not None:
-            try:
-                affinity = np.asarray(affinity, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"affinity: not a numeric matrix ({exc})") from exc
-
-        def read(key, convert, default):
-            value = obj.get(key, default)
-            try:
-                return convert(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{key}: invalid value {value!r}") from exc
-
-        return ExperimentConfig(
-            market=market,
-            n=read("n", int, 1000),
-            seed=obj.get("seed", 0),
-            methods=read("methods", tuple, ["cca"]),
-            sweep=read("sweep", lambda v: tuple(int(x) for x in v), None) if "sweep" in obj else None,
-            replications=read("replications", int, 1),
-            out_dir=obj.get("out_dir"),
-            spearman=spearman,
-            affinity=affinity,
-        )
+        values = {key: obj[key] for key in allowed - {"market", "spearman"} if key in obj}
+        return ExperimentConfig(market=market, **values, **spearman)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -10,6 +10,7 @@ coexist without adjustment.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,9 @@ class DistributionModel:
         if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if self.kind in ("gaussian", "exponential"):
-            if self.param is None or not (self.param > 0):
-                raise ValueError(f"{self.kind} requires a positive parameter, got {self.param!r}")
+            param = self.param
+            if isinstance(param, bool) or not isinstance(param, numbers.Real) or not (0 < param < math.inf):
+                raise ValueError(f"param: {self.kind} requires a finite positive number, got {param!r}")
         elif self.param is not None:
             raise ValueError(f"{self.kind} takes no parameter, got {self.param!r}")
 
@@ -215,10 +217,8 @@ def _reflected(dist: DistributionModel, scale: float) -> tuple[float, bool]:
         raise ValueError("scale must be nonzero")
     if scale > 0:
         return scale, False
-    if self_symmetric(dist):
+    if dist.kind in ("gaussian", "rademacher"):  # -Z has the law of Z
         return -scale, False
-    if not dist.is_continuous:
-        raise ValueError("negative scaling of an asymmetric atomic law is unsupported")
     return scale, True
 
 
@@ -253,11 +253,6 @@ def scaled_quantile(dist: DistributionModel, scale: float, p, q=None):
         in_upper, upper(np.where(in_upper, q, 0.5)), lower(np.where(in_upper, 0.5, p))
     )
     return float(out) if scalar else out
-
-
-def self_symmetric(dist: DistributionModel) -> bool:
-    """True when -Z has the same law as Z."""
-    return dist.kind in ("gaussian", "rademacher")
 
 
 def average_ranks(values) -> np.ndarray:

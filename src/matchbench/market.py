@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -114,8 +115,14 @@ class MarketSpec:
     phi: SurplusShape = field(default_factory=SurplusShape.product)
 
     def __post_init__(self):
+        for name, dim in (("dx", self.dx), ("dy", self.dy)):
+            if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+                raise ValueError(f"{name}: must be an integer >= 1, got {dim!r}")
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
+        for name, weights in (("alpha", self.alpha), ("beta", self.beta)):
+            if not np.all(np.isfinite(weights)):
+                raise ValueError(f"{name}: weights must be finite, got {weights.tolist()}")
         if self.alpha.shape != (self.dx,):
             raise ValueError(f"alpha must have length dx={self.dx}")
         if self.beta.shape != (self.dy,):
@@ -161,6 +168,8 @@ class MarketSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "MarketSpec":
+        if not isinstance(obj, dict):
+            raise ValueError(f"must be a JSON object, got {obj!r}")
         allowed = {
             "dx", "dy", "alpha", "beta", "phi",
             "p_components", "q_components", "p_gaussian_cov", "q_gaussian_cov",
@@ -177,14 +186,14 @@ class MarketSpec:
         comps_p = obj.get("p_components")
         comps_q = obj.get("q_components")
         return MarketSpec(
-            dx=int(obj["dx"]),
-            dy=int(obj["dy"]),
+            dx=obj["dx"],
+            dy=obj["dy"],
             alpha=obj["alpha"],
             beta=obj["beta"],
             p_components=tuple(DistributionModel.from_json(c) for c in comps_p) if comps_p is not None else None,
             q_components=tuple(DistributionModel.from_json(c) for c in comps_q) if comps_q is not None else None,
-            p_cov=np.asarray(obj["p_gaussian_cov"], float) if "p_gaussian_cov" in obj else None,
-            q_cov=np.asarray(obj["q_gaussian_cov"], float) if "q_gaussian_cov" in obj else None,
+            p_cov=obj.get("p_gaussian_cov"),
+            q_cov=obj.get("q_gaussian_cov"),
         )
 
 
@@ -364,16 +373,20 @@ def assignment_oracle(xs, ys, spec: MarketSpec) -> tuple[tuple[int, ...], float]
         raise ValueError("factorial enumeration is limited to n <= 10")
     if ys.shape[0] != n:
         raise ValueError("xs and ys must have the same number of rows")
-    u = xs @ spec.alpha
-    v = ys @ spec.beta
-    pair = spec.phi.pair_matrix(u, v)
+    pair = pair_surplus_matrix(xs, ys, spec)
+    rows = np.arange(n)
+    # the tails after each first element, in lexicographic order, as positions among the rest
+    tails = np.array(list(itertools.permutations(range(n - 1))), dtype=int)
     best_value = -math.inf
     best_perm: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(n)):
-        value = matching_value(pair, perm)
-        if value > best_value:
-            best_value = value
-            best_perm = perm
+    for first in range(n):
+        rest = np.delete(rows, first)
+        perms = np.column_stack((np.full(len(tails), first), rest[tails]))
+        values = pair[rows, perms].sum(axis=1)
+        i = int(np.argmax(values))
+        if values[i] > best_value:
+            best_value = float(values[i])
+            best_perm = tuple(int(j) for j in perms[i])
     return best_perm, best_value
 
 

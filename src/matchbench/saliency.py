@@ -78,8 +78,11 @@ def svd_decompose(A, rank_tol: float = 1e-8) -> AffinityDecomposition:
         j = _first_nonzero(V[i])
         if j >= 0 and V[i, j] < 0:
             V[i] = -V[i]
-    total = s.sum()
-    shares = s / total if total > 0 else np.zeros_like(s)
+    with np.errstate(over="ignore"):
+        total = s.sum()
+    # where the sum overflows, take the same fractions relative to the largest value
+    scaled, total = (s / s[0], (s / s[0]).sum()) if np.isinf(total) else (s, total)
+    shares = scaled / total if total > 0 else np.zeros_like(s)
     rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
     return AffinityDecomposition(
         A=A.copy(), U=U, V=V, lambdas=s, shares=shares, numerical_rank=rank, rank_tol=float(rank_tol)

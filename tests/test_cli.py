@@ -48,10 +48,10 @@ class TestConfig:
         path = write_config(tmp_path / "cfg.json", sweep=[100, 200], spearman={"restarts": 4})
         config = load_config(path)
         assert (config.n, config.seed, config.methods, config.sweep) == (400, 7, ("cca", "ols"), (100, 200))
-        assert (config.replications, config.spearman) == (2, {"restarts": 4})
+        assert (config.replications, config.restarts) == (2, 4)
         changed = _apply_overrides(config, argparse.Namespace(n=50, seed=3, methods="spearman,mrs"))
         assert (changed.n, changed.seed, changed.methods) == (50, 3, ("spearman", "mrs"))
-        assert (changed.sweep, changed.replications, changed.spearman) == ((100, 200), 2, {"restarts": 4})
+        assert (changed.sweep, changed.replications, changed.restarts) == ((100, 200), 2, 4)
         for bad in ({"n": 1}, {"methods": "cca,pca"}):
             args = argparse.Namespace(**{"n": None, "seed": None, "methods": None, **bad})
             with pytest.raises(ConfigError):
@@ -77,10 +77,25 @@ class TestConfig:
         ("spearman", {"restarts": 2.7}, "spearman.restarts:"),
         ("spearman", {"restarts": True}, "spearman.restarts:"),
         ("spearman", {"restarts": -1}, "spearman.restarts:"),
+        ("n", 100.7, "n:"),
+        ("n", "100", "n:"),
+        ("replications", 2.5, "replications:"),
+        ("sweep", [100.5], "sweep:"),
+        ("methods", {"cca": 1}, "methods:"),
+        ("out_dir", 5, "out_dir:"),
+        ("market.dx", 2.5, "market: dx:"),
+        ("market.dx", "2", "market: dx:"),
+        ("market.p_components", [{"kind": "rademacher"}, {"kind": "exponential", "param": True}], "param:"),
+        ("market.p_components", [{"kind": "rademacher"}, {"kind": "exponential", "param": 1e400}], "param:"),
+        ("market.p_components", [{"kind": "rademacher"}, {"kind": "exponential", "param": "x"}], "param:"),
+        ("market.alpha", [1e400, 1.0], "market: alpha:"),
+        ("market", [], "market:"),
     ], ids=["no-dx", "no-dy", "no-alpha", "no-beta", "null-dx", "null-n", "null-seed", "null-sweep",
             "negative-seed", "float-seed", "ragged-affinity", "text-affinity", "zero-grid-resolution",
             "tiny-grid-resolution", "restart-typo", "list-restarts", "float-restarts", "bool-restarts",
-            "negative-restarts"])
+            "negative-restarts", "float-n", "text-n", "float-replications", "float-sweep", "object-methods",
+            "int-out-dir", "float-dx", "text-dx", "bool-param", "infinite-param", "text-param",
+            "infinite-alpha", "list-market"])
     def test_missing_or_null_field_is_named(self, tmp_path, capsys, key, value, shown):
         config = {"market": dict(COUNTEREXAMPLE_MARKET), "n": 400, "seed": 7}
         target = config["market"] if key.startswith("market.") else config
@@ -92,8 +107,10 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
         assert rc == 2
-        assert shown in capsys.readouterr().err
+        assert shown in err
+        assert not (tmp_path / "o" / "sample.csv").exists()
 
     def test_zero_weight_rejected_with_field_name(self, tmp_path, capsys):
         market = dict(COUNTEREXAMPLE_MARKET, alpha=[0.0, 0.0])
@@ -160,6 +177,32 @@ class TestConfigFuzz:
             path = Path(out) / "cfg.json"
             path.write_text(json.dumps(config))
             rc = main(["estimate", "--config", str(path), "--sample", str(fuzz_sample), "--out", out])
+        assert rc in (0, 2, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        command=st.sampled_from(["simulate", "benchmark"]),
+        n=st.just(MISSING) | st.integers(2, 40) | JSON_VALUES,
+        replications=st.just(MISSING) | st.integers(1, 3) | JSON_VALUES,
+        sweep=st.just(MISSING) | st.lists(st.integers(-3, 40), max_size=2) | JSON_VALUES,
+        methods=st.just(MISSING) | JSON_VALUES
+        | st.lists(st.sampled_from(["cca", "ols", "spearman", "mrs", "saliency", "pca"]), max_size=3),
+        out_dir=st.just(MISSING) | st.text(max_size=4) | JSON_VALUES,
+        dx=st.just(MISSING) | st.integers(1, 3) | JSON_VALUES,
+    )
+    def test_simulate_and_benchmark_exit_with_a_code_never_a_traceback(
+        self, command, n, replications, sweep, methods, out_dir, dx
+    ):
+        config = {"market": dict(COUNTEREXAMPLE_MARKET), "n": 50, "spearman": {"restarts": 1}}
+        drawn = {"n": n, "replications": replications, "sweep": sweep, "methods": methods, "out_dir": out_dir}
+        config.update((key, value) for key, value in drawn.items() if value is not MISSING)
+        if dx is not MISSING:
+            config["market"]["dx"] = dx
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "cfg.json"
+            path.write_text(json.dumps(config))
+            # --out wins over a drawn out_dir, which is then checked but never written to
+            rc = main([command, "--config", str(path), "--out", out])
         assert rc in (0, 2, 3)
 
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -232,6 +233,29 @@ class TestAssignmentOracle:
             _, value = assignment_oracle(xs, ys, spec)
             pair = pair_surplus_matrix(xs, ys, spec)
             assert value == matching_value(pair, rank_sorted_permutation(xs, ys, spec))
+
+    def test_matches_the_permutation_loop(self, rng):
+        # reference: every permutation in lexicographic order, the first strict maximum wins
+        def loop_oracle(xs, ys, spec):
+            pair = pair_surplus_matrix(xs, ys, spec)
+            best_value, best_perm = -math.inf, None
+            for perm in itertools.permutations(range(len(xs))):
+                value = matching_value(pair, perm)
+                if value > best_value:
+                    best_value, best_perm = value, perm
+            return best_perm, best_value
+
+        product = uniform_1d_market()
+        anti = MarketSpec(dx=1, dy=1, alpha=[1.0], beta=[1.0],
+                          p_components=(uniform01(),), q_components=(uniform01(),),
+                          phi=SurplusShape.custom(lambda s, t: -s * t))
+        for trial in range(40):
+            n = int(rng.integers(1, 8))
+            xs = rng.normal(size=(n, 1))
+            # every other draw has tied y values, so several permutations attain the maximum
+            ys = rng.integers(0, 3, size=(n, 1)).astype(float) if trial % 2 else rng.normal(size=(n, 1))
+            for spec in (product, anti):
+                assert assignment_oracle(xs, ys, spec) == loop_oracle(xs, ys, spec)
 
     def test_rejects_large_n(self):
         spec = uniform_1d_market()

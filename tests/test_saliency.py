@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,15 @@ class TestSvdDecompose:
     def test_diagonal_shares(self):
         d = svd_decompose(np.diag([3.0, 1.0]))
         np.testing.assert_allclose(d.shares, [0.75, 0.25])
+
+    def test_shares_survive_an_overflowing_sum(self):
+        # the two singular values are about 1.41e308 each, so their sum is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = svd_decompose([[1e308, 1e308], [1e308, -1e308]])
+        assert np.all(np.isfinite(d.lambdas)) and d.numerical_rank == 2
+        np.testing.assert_allclose(d.shares, [0.5, 0.5], rtol=1e-15)
+        assert abs(d.shares.sum() - 1.0) < 1e-15
 
     def test_zero_matrix(self):
         d = svd_decompose(np.zeros((2, 3)))
