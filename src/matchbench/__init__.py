@@ -5,7 +5,6 @@ from .distributions import (
     exponential,
     gaussian,
     rademacher,
-    sample,
     uniform01,
 )
 from .errors import (
@@ -21,8 +20,6 @@ from .estimators import (
     MomentSet,
     cca,
     compute_moments,
-    consistency_condition,
-    counterexample_population_moments,
     mrs_estimate,
     normalize_weights,
     ols_index,
@@ -35,13 +32,10 @@ from .estimators import (
 from .market import (
     MarketSpec,
     MatchedSample,
-    SurplusShape,
     assignment_oracle,
-    check_supermodularity,
     counterexample_market,
     gaussian_market,
     simulate_market,
-    surplus,
 )
 from .oracle import (
     CounterexampleReport,
@@ -55,7 +49,6 @@ from .oracle import (
 from .saliency import (
     AffinityDecomposition,
     mutual_indices,
-    normalize_attributes,
     rank1_weights,
     svd_decompose,
     verify_surplus_identity,

@@ -30,7 +30,7 @@ from .estimators import (
     population_moments_gaussian,
     spearman_estimate,
 )
-from .market import MarketSpec, MatchedSample, counterexample_market, simulate_market
+from .market import MarketSpec, MatchedSample, counterexample_market, real_array, simulate_market
 from .oracle import (
     CounterexampleReport,
     closed_form_counterexample,
@@ -106,9 +106,9 @@ class ExperimentConfig:
         object.__setattr__(self, "sweep", tuple(self.sweep))
         if self.affinity is not None:
             try:
-                object.__setattr__(self, "affinity", np.asarray(self.affinity, dtype=float))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"affinity: not a numeric matrix ({exc})") from exc
+                object.__setattr__(self, "affinity", real_array("affinity", self.affinity))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ExperimentConfig":

@@ -59,13 +59,13 @@ class DistributionModel:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
+            raise ValueError(f"kind: must be one of {KINDS}, got {self.kind!r}")
         if self.kind in ("gaussian", "exponential"):
             param = self.param
             if isinstance(param, bool) or not isinstance(param, numbers.Real) or not (0 < param < math.inf):
                 raise ValueError(f"param: {self.kind} requires a finite positive number, got {param!r}")
         elif self.param is not None:
-            raise ValueError(f"{self.kind} takes no parameter, got {self.param!r}")
+            raise ValueError(f"param: {self.kind} takes no parameter, got {self.param!r}")
 
     @property
     def is_continuous(self) -> bool:
@@ -176,10 +176,10 @@ class DistributionModel:
     @staticmethod
     def from_json(obj: dict) -> "DistributionModel":
         if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError(f"distribution spec must be an object with a 'kind' key, got {obj!r}")
+            raise ValueError(f"kind: missing; a distribution is an object with a 'kind' key, got {obj!r}")
         extra = set(obj) - {"kind", "param"}
         if extra:
-            raise ValueError(f"unknown distribution keys {sorted(extra)}")
+            raise ValueError(f"{sorted(extra)[0]}: unknown key (a distribution takes kind and param)")
         return DistributionModel(obj["kind"], obj.get("param"))
 
 
@@ -197,13 +197,6 @@ def exponential(rate: float) -> DistributionModel:
 
 def uniform01() -> DistributionModel:
     return DistributionModel("uniform01")
-
-
-def sample(dist: DistributionModel, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws; identical output for identical (dist, n, seed)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return dist.draw(n, seed_streams(seed, 1)[0])
 
 
 def _reflected(dist: DistributionModel, scale: float) -> tuple[float, bool]:
@@ -282,8 +275,3 @@ def average_ranks(values) -> np.ndarray:
     ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return ranks
 
-
-def rank_transform(values) -> np.ndarray:
-    """Average ranks of a sample divided by n + 1 (its own empirical CDF)."""
-    ranks = average_ranks(values)
-    return ranks / (ranks.size + 1)

@@ -20,7 +20,6 @@ from scipy.optimize import minimize
 from .distributions import average_ranks, seed_streams
 from .errors import DegenerateIndexError, NumericalError
 from .market import MarketSpec, MatchedSample
-from .oracle import closed_form_counterexample, numeric_counterexample
 from .saliency import svd_decompose
 
 _TWO_PI = 2.0 * math.pi
@@ -546,31 +545,6 @@ def mrs_estimate(sample: MatchedSample) -> EstimatorResult:
     )
 
 
-@dataclass(frozen=True)
-class ConsistencyCheck:
-    """Both sides of the weight-ratio condition and whether they agree.
-
-    ``lhs`` is the generating ratio alpha_1/alpha_2, ``rhs`` the transfer-map
-    covariance ratio; agreement is decided in cross-multiplied form so a
-    zero weight does not force a division."""
-
-    lhs: float
-    rhs: float
-    holds: bool
-    cov_x1: float
-    cov_x2: float
-
-
-def consistency_condition(spec: MarketSpec, tol: float = 1e-9) -> ConsistencyCheck:
-    report = numeric_counterexample(spec, tol)
-    a1, a2 = float(spec.alpha[0]), float(spec.alpha[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lhs = float(np.divide(a1, a2))
-        rhs = float(np.divide(report.cov_x1, report.cov_x2))
-    holds = bool(abs(a1 * report.cov_x2 - a2 * report.cov_x1) <= 10.0 * tol)
-    return ConsistencyCheck(lhs=lhs, rhs=rhs, holds=holds, cov_x1=report.cov_x1, cov_x2=report.cov_x2)
-
-
 def population_moments_gaussian(spec: MarketSpec) -> MomentSet:
     """Population moment matrices of a Gaussian market under comonotone
     sorting: the matched cross moments come from the linear transfer map,
@@ -589,13 +563,3 @@ def population_moments_gaussian(spec: MarketSpec) -> MomentSet:
     sxy = np.outer(cov_x @ spec.alpha, cov_y @ spec.beta) / math.sqrt(a_norm * b_norm)
     return MomentSet(Sxx=cov_x, Syy=cov_y, Sxy=sxy)
 
-
-def counterexample_population_moments() -> MomentSet:
-    """Exact moment matrices of the benchmark market (identity x-covariance,
-    uniform y-variance, closed-form cross covariances)."""
-    report = closed_form_counterexample()
-    return MomentSet(
-        Sxx=np.eye(2),
-        Syy=np.array([[1.0 / 12.0]]),
-        Sxy=np.array([[report.cov_x1], [report.cov_x2]]),
-    )

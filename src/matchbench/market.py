@@ -1,7 +1,7 @@
 """Matched-sample generation under single-index comonotone sorting.
 
 A market is two populations of attribute vectors, an index weight vector
-per side, and a supermodular surplus over the two indices. Equilibrium
+per side, and the product surplus s*t of the two indices. Equilibrium
 sorting pairs equal index ranks, so simulation is: draw both sides
 independently, sort each by its index, and zip.
 """
@@ -12,8 +12,8 @@ import csv
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Callable
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,74 +25,28 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _CSV_BLOCK_ROWS = 65536
 
 
-@dataclass(frozen=True)
-class SurplusShape:
-    """Bivariate surplus over the two indices: s*t, or a custom callable."""
+def real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array whose entries are all finite numbers.
 
-    kind: str
-    fn: Callable[[float, float], float] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("product", "custom"):
-            raise ValueError(f"unknown surplus kind {self.kind!r}")
-        if self.kind == "custom" and self.fn is None:
-            raise ValueError("custom surplus needs a callable")
-
-    @staticmethod
-    def product() -> "SurplusShape":
-        return SurplusShape("product")
-
-    @staticmethod
-    def custom(fn: Callable[[float, float], float]) -> "SurplusShape":
-        return SurplusShape("custom", fn)
-
-    @staticmethod
-    def custom_supermodular(fn, s_grid, t_grid) -> "SurplusShape":
-        """Custom surplus validated for supermodularity on the given grid."""
-        shape = SurplusShape("custom", fn)
-        if not check_supermodularity(shape, s_grid, t_grid):
-            raise ValueError("callable fails the supermodularity check on the grid")
-        return shape
-
-    def value(self, s, t):
-        if self.kind == "product":
-            return np.asarray(s, float) * np.asarray(t, float)
-        return self.fn(s, t)
-
-    def pair_matrix(self, s, t) -> np.ndarray:
-        """Matrix of surplus values over all (s_i, t_j) pairs."""
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        if self.kind == "product":
-            return np.outer(s, t)
-        out = np.empty((s.size, t.size))
-        for i, si in enumerate(s):
-            for j, tj in enumerate(t):
-                out[i, j] = self.fn(float(si), float(tj))
-        return out
+    A string such as "1" or a bool is refused with the field's name, where
+    numpy's float conversion would take it without a word.
+    """
+    entries = np.asarray(value, dtype=object)  # a ragged list keeps its rows as entries
+    for v in entries.flat:
+        # the bound also refuses nan and integers too large for a float
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not abs(v) <= sys.float_info.max:
+            raise ValueError(f"{name}: entries must be finite numbers, got {v!r}")
+    return entries.astype(float)
 
 
-def check_supermodularity(phi: SurplusShape, s_grid, t_grid, tol: float = 1e-12) -> bool:
-    """True iff every discrete second difference on the grid is >= -tol."""
-    s = np.asarray(s_grid, dtype=float)
-    t = np.asarray(t_grid, dtype=float)
-    if s.size < 2 or t.size < 2:
-        raise ValueError("each grid needs at least two points")
-    if np.any(np.diff(s) <= 0) or np.any(np.diff(t) <= 0):
-        raise ValueError("grids must be strictly increasing")
-    m = phi.pair_matrix(s, t)
-    second = m[1:, 1:] - m[1:, :-1] - m[:-1, 1:] + m[:-1, :-1]
-    return bool(np.all(second >= -tol))
-
-
-def _check_cov(name: str, cov: np.ndarray, dim: int) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float)
+def _check_cov(name: str, cov, dim: int) -> np.ndarray:
+    cov = real_array(name, cov)
     if cov.shape != (dim, dim):
-        raise ValueError(f"{name} must be {dim}x{dim}, got {cov.shape}")
+        raise ValueError(f"{name}: covariance must be {dim}x{dim}, got {cov.shape}")
     if not np.allclose(cov, cov.T, atol=1e-12):
-        raise ValueError(f"{name} must be symmetric")
+        raise ValueError(f"{name}: covariance must be symmetric")
     if np.linalg.eigvalsh(cov).min() <= 1e-12:
-        raise ValueError(f"{name} must be positive definite (min eigenvalue > 1e-12)")
+        raise ValueError(f"{name}: covariance must be positive definite (min eigenvalue > 1e-12)")
     return cov
 
 
@@ -112,17 +66,13 @@ class MarketSpec:
     q_components: tuple[DistributionModel, ...] | None = None
     p_cov: np.ndarray | None = None
     q_cov: np.ndarray | None = None
-    phi: SurplusShape = field(default_factory=SurplusShape.product)
 
     def __post_init__(self):
         for name, dim in (("dx", self.dx), ("dy", self.dy)):
             if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
                 raise ValueError(f"{name}: must be an integer >= 1, got {dim!r}")
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        for name, weights in (("alpha", self.alpha), ("beta", self.beta)):
-            if not np.all(np.isfinite(weights)):
-                raise ValueError(f"{name}: weights must be finite, got {weights.tolist()}")
+        object.__setattr__(self, "alpha", real_array("alpha", self.alpha))
+        object.__setattr__(self, "beta", real_array("beta", self.beta))
         if self.alpha.shape != (self.dx,):
             raise ValueError(f"alpha must have length dx={self.dx}")
         if self.beta.shape != (self.dy,):
@@ -131,9 +81,9 @@ class MarketSpec:
             raise ValueError("alpha must be nonzero")
         if not np.any(self.beta):
             raise ValueError("beta must be nonzero")
-        for side, comps, cov, dim in (
-            ("P", self.p_components, self.p_cov, self.dx),
-            ("Q", self.q_components, self.q_cov, self.dy),
+        for side, cov_key, comps, cov, dim in (
+            ("P", "p_gaussian_cov", self.p_components, self.p_cov, self.dx),
+            ("Q", "q_gaussian_cov", self.q_components, self.q_cov, self.dy),
         ):
             if (comps is None) == (cov is None):
                 raise ValueError(f"side {side}: give exactly one of components or a Gaussian covariance")
@@ -141,7 +91,7 @@ class MarketSpec:
                 if len(comps) != dim:
                     raise ValueError(f"side {side}: expected {dim} components, got {len(comps)}")
             else:
-                checked = _check_cov(f"side {side} covariance", cov, dim)
+                checked = _check_cov(cov_key, cov, dim)
                 object.__setattr__(self, "p_cov" if side == "P" else "q_cov", checked)
         if self.p_components is not None:
             object.__setattr__(self, "p_components", tuple(self.p_components))
@@ -154,7 +104,7 @@ class MarketSpec:
             "dy": self.dy,
             "alpha": [float(a) for a in self.alpha],
             "beta": [float(b) for b in self.beta],
-            "phi": self.phi.kind,
+            "phi": "product",
         }
         if self.p_components is not None:
             obj["p_components"] = [c.to_json() for c in self.p_components]
@@ -182,19 +132,31 @@ class MarketSpec:
             raise ValueError(f"missing market keys {missing}")
         phi = obj.get("phi", "product")
         if phi != "product":
-            raise ValueError("only the product surplus is serializable")
-        comps_p = obj.get("p_components")
-        comps_q = obj.get("q_components")
+            raise ValueError(f"phi: only the product surplus is supported, got {phi!r}")
         return MarketSpec(
             dx=obj["dx"],
             dy=obj["dy"],
             alpha=obj["alpha"],
             beta=obj["beta"],
-            p_components=tuple(DistributionModel.from_json(c) for c in comps_p) if comps_p is not None else None,
-            q_components=tuple(DistributionModel.from_json(c) for c in comps_q) if comps_q is not None else None,
+            p_components=_components_from_json("p_components", obj.get("p_components")),
+            q_components=_components_from_json("q_components", obj.get("q_components")),
             p_cov=obj.get("p_gaussian_cov"),
             q_cov=obj.get("q_gaussian_cov"),
         )
+
+
+def _components_from_json(key: str, comps) -> tuple[DistributionModel, ...] | None:
+    """The components under ``key``; an error names the one at fault, as in
+    ``p_components[1].param``."""
+    if comps is None:
+        return None
+    models = []
+    for i, comp in enumerate(comps):
+        try:
+            models.append(DistributionModel.from_json(comp))
+        except ValueError as exc:
+            raise ValueError(f"{key}[{i}].{exc}") from exc
+    return tuple(models)
 
 
 def counterexample_market() -> MarketSpec:
@@ -334,14 +296,6 @@ def simulate_market(spec: MarketSpec, n: int, seed: int) -> MatchedSample:
     return MatchedSample(xs=xs[np.argsort(u, kind="stable")], ys=ys[np.argsort(v, kind="stable")])
 
 
-def surplus(spec: MarketSpec, x, y) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (spec.dx,) or y.shape != (spec.dy,):
-        raise ValueError(f"expected attribute vectors of lengths ({spec.dx}, {spec.dy})")
-    return float(spec.phi.value(float(spec.alpha @ x), float(spec.beta @ y)))
-
-
 def matching_value(pair_surplus: np.ndarray, perm) -> float:
     """Total surplus of a permutation, summed in fixed row order."""
     n = pair_surplus.shape[0]
@@ -394,4 +348,4 @@ def pair_surplus_matrix(xs, ys, spec: MarketSpec) -> np.ndarray:
     """Surplus of every potential couple; row = x rank of draw, col = y."""
     u = np.atleast_2d(np.asarray(xs, float)) @ spec.alpha
     v = np.atleast_2d(np.asarray(ys, float)) @ spec.beta
-    return spec.phi.pair_matrix(u, v)
+    return np.outer(u, v)

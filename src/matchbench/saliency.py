@@ -66,6 +66,8 @@ def svd_decompose(A, rank_tol: float = 1e-8) -> AffinityDecomposition:
     dx, dy = A.shape
     d = min(dx, dy)
     u, s, vt = np.linalg.svd(A)
+    if s.size and not np.isfinite(s[0]):
+        raise ValueError(f"affinity matrix: its largest singular value overflows a float ({s[0]}); rescale it")
     U = u.T.copy()
     V = vt.copy()
     for i in range(dx):
@@ -87,14 +89,6 @@ def svd_decompose(A, rank_tol: float = 1e-8) -> AffinityDecomposition:
     return AffinityDecomposition(
         A=A.copy(), U=U, V=V, lambdas=s, shares=shares, numerical_rank=rank, rank_tol=float(rank_tol)
     )
-
-
-def reconstruct(decomp: AffinityDecomposition) -> np.ndarray:
-    dx, dy = decomp.A.shape
-    lam = np.zeros((dx, dy))
-    d = min(dx, dy)
-    lam[np.arange(d), np.arange(d)] = decomp.lambdas
-    return decomp.U.T @ lam @ decomp.V
 
 
 def mutual_indices(decomp: AffinityDecomposition, sample: MatchedSample) -> tuple[np.ndarray, np.ndarray]:
@@ -132,20 +126,3 @@ def rank1_weights(decomp: AffinityDecomposition) -> tuple[np.ndarray, np.ndarray
         )
     return decomp.U[0].copy(), decomp.V[0].copy()
 
-
-def normalize_attributes(sample: MatchedSample) -> tuple[MatchedSample, np.ndarray]:
-    """Center every attribute column and rescale it to unit variance.
-
-    Returns the rescaled sample and the vector of applied scales
-    (x columns first, then y columns) for un-normalization.
-    """
-    scales = []
-    blocks = []
-    for block in (sample.xs, sample.ys):
-        sd = block.std(axis=0)
-        if np.any(sd == 0.0):
-            bad = int(np.flatnonzero(sd == 0.0)[0])
-            raise ValueError(f"column {bad} has zero variance and cannot be normalized")
-        blocks.append((block - block.mean(axis=0)) / sd)
-        scales.append(sd)
-    return MatchedSample(xs=blocks[0], ys=blocks[1]), np.concatenate(scales)

@@ -27,6 +27,9 @@ COUNTEREXAMPLE_MARKET = {
     "phi": "product",
 }
 
+# the benchmark market with a Gaussian x side in place of its components
+GAUSSIAN_P_MARKET = {key: value for key, value in COUNTEREXAMPLE_MARKET.items() if key != "p_components"}
+
 MISSING = object()
 
 
@@ -85,17 +88,34 @@ class TestConfig:
         ("out_dir", 5, "out_dir:"),
         ("market.dx", 2.5, "market: dx:"),
         ("market.dx", "2", "market: dx:"),
-        ("market.p_components", [{"kind": "rademacher"}, {"kind": "exponential", "param": True}], "param:"),
-        ("market.p_components", [{"kind": "rademacher"}, {"kind": "exponential", "param": 1e400}], "param:"),
-        ("market.p_components", [{"kind": "rademacher"}, {"kind": "exponential", "param": "x"}], "param:"),
+        ("market.p_components", [{"kind": "rademacher"}, {"kind": "exponential", "param": True}],
+         "market: p_components[1].param:"),
+        ("market.p_components", [{"kind": "rademacher"}, {"kind": "exponential", "param": 1e400}],
+         "market: p_components[1].param:"),
+        ("market.p_components", [{"kind": "rademacher"}, {"kind": "exponential", "param": "x"}],
+         "market: p_components[1].param:"),
         ("market.alpha", [1e400, 1.0], "market: alpha:"),
         ("market", [], "market:"),
+        ("market.alpha", ["1", "1"], "market: alpha:"),
+        ("market.alpha", [True, 1.0], "market: alpha:"),
+        ("market.beta", ["2"], "market: beta:"),
+        ("market", GAUSSIAN_P_MARKET | {"p_gaussian_cov": [["1", "0"], ["0", "1"]]}, "market: p_gaussian_cov:"),
+        ("market", GAUSSIAN_P_MARKET | {"p_gaussian_cov": [[True, 0.0], [0.0, 1.0]]}, "market: p_gaussian_cov:"),
+        ("market", COUNTEREXAMPLE_MARKET | {"q_components": None, "q_gaussian_cov": [["1"]]},
+         "market: q_gaussian_cov:"),
+        ("affinity", [["1"], ["2"]], "affinity:"),
+        ("affinity", [[True], [1.0]], "affinity:"),
+        ("market", COUNTEREXAMPLE_MARKET | {"dy": 2, "beta": [1.0, 1.0], "q_components": [
+            {"kind": "uniform01"}, {"kind": "gaussian", "param": "1"}]}, "market: q_components[1].param:"),
+        ("market.phi", "custom", "market: phi:"),
     ], ids=["no-dx", "no-dy", "no-alpha", "no-beta", "null-dx", "null-n", "null-seed", "null-sweep",
             "negative-seed", "float-seed", "ragged-affinity", "text-affinity", "zero-grid-resolution",
             "tiny-grid-resolution", "restart-typo", "list-restarts", "float-restarts", "bool-restarts",
             "negative-restarts", "float-n", "text-n", "float-replications", "float-sweep", "object-methods",
             "int-out-dir", "float-dx", "text-dx", "bool-param", "infinite-param", "text-param",
-            "infinite-alpha", "list-market"])
+            "infinite-alpha", "list-market", "numeric-text-alpha", "bool-alpha", "numeric-text-beta",
+            "numeric-text-p-cov", "bool-p-cov", "numeric-text-q-cov", "numeric-text-affinity", "bool-affinity",
+            "text-second-q-param", "custom-phi"])
     def test_missing_or_null_field_is_named(self, tmp_path, capsys, key, value, shown):
         config = {"market": dict(COUNTEREXAMPLE_MARKET), "n": 400, "seed": 7}
         target = config["market"] if key.startswith("market.") else config
@@ -151,6 +171,21 @@ JSON_VALUES = st.recursive(
 )
 
 
+# JSON numbers, and the strings and bools that numpy would read as numbers
+NUMBER_LIKE = st.integers(-3, 6) | st.floats(-10, 10) | st.sampled_from(["1", "0.5", "-2", True, False])
+
+
+def all_numbers(value) -> bool:
+    """True if every leaf of a nested JSON list is an int or a float."""
+    if isinstance(value, list):
+        return all(all_numbers(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def matrices(rows: int, cols: int):
+    return st.lists(st.lists(NUMBER_LIKE, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
 @pytest.fixture(scope="module")
 def fuzz_sample(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "sample.csv"
@@ -204,6 +239,38 @@ class TestConfigFuzz:
             # --out wins over a drawn out_dir, which is then checked but never written to
             rc = main([command, "--config", str(path), "--out", out])
         assert rc in (0, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.just(MISSING) | JSON_VALUES | st.lists(NUMBER_LIKE, min_size=2, max_size=2),
+        beta=st.just(MISSING) | JSON_VALUES | st.lists(NUMBER_LIKE, min_size=1, max_size=1),
+        p_cov=st.just(MISSING) | JSON_VALUES | matrices(2, 2),
+        q_cov=st.just(MISSING) | JSON_VALUES | matrices(1, 1),
+        affinity=st.just(MISSING) | JSON_VALUES | matrices(2, 1),
+    )
+    def test_weights_covariances_and_affinity_take_json_numbers_only(self, alpha, beta, p_cov, q_cov, affinity):
+        market = dict(COUNTEREXAMPLE_MARKET)
+        for key, value in (("alpha", alpha), ("beta", beta)):
+            if value is MISSING:
+                del market[key]
+            else:
+                market[key] = value
+        for side, cov in (("p", p_cov), ("q", q_cov)):
+            if cov is not MISSING:
+                del market[f"{side}_components"]
+                market[f"{side}_gaussian_cov"] = cov
+        config = {"market": market, "n": 50}
+        if affinity is not MISSING:
+            config["affinity"] = affinity
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "cfg.json"
+            path.write_text(json.dumps(config))
+            rc = main(["simulate", "--config", str(path), "--out", out])
+        assert rc in (0, 2, 3)
+        # a null affinity means none is configured
+        drawn = [alpha, beta, p_cov, q_cov] + ([affinity] if affinity is not None else [])
+        if not all(all_numbers(value) for value in drawn if value is not MISSING):
+            assert rc == 2
 
 
 class TestSimulate:
@@ -374,6 +441,7 @@ class TestCounterexampleCommand:
         assert all(payload["agreement"]["monte_carlo_vs_closed"].values())
         ratio = payload["closed_form"]["ratio_cca"]["value"]
         assert abs(ratio - 0.8130352854993312) < 1e-12
+        assert payload["market"]["phi"] == "product"
 
     def test_gaussian_run_is_consistent(self, tmp_path):
         rc = main(["counterexample", "--gaussian", "--tol", "1e-8", "--n", "50000",
@@ -500,6 +568,15 @@ class TestSaliencyCommand:
 
     def test_requires_matrix_source(self):
         assert main(["saliency"]) == 2
+
+    def test_overflowing_affinity_is_named(self, tmp_path, capsys):
+        # finite entries whose one singular value, 1.7e308 * sqrt(2), is not
+        cfg = write_config(tmp_path / "cfg.json", affinity=[[1.7e308], [1.7e308]])
+        rc = main(["saliency", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "affinity" in err
+        assert not (tmp_path / "o" / "saliency.json").exists()
 
 
 class TestEntryPoint:

@@ -12,12 +12,10 @@ from matchbench import (
     exponential,
     gaussian,
     rademacher,
-    sample,
     uniform01,
 )
 from matchbench.distributions import (
     average_ranks,
-    rank_transform,
     scaled_cdf,
     scaled_quantile,
     scaled_sf,
@@ -29,23 +27,27 @@ ALL_KINDS = [gaussian(0.7), gaussian(2.0), rademacher(), exponential(1.0), expon
 CONTINUOUS = [d for d in ALL_KINDS if d.is_continuous]
 
 
+def draw(dist: DistributionModel, n: int, seed: int) -> np.ndarray:
+    return dist.draw(n, seed_streams(seed, 1)[0])
+
+
 class TestSampling:
     def test_rademacher_support(self):
-        values = sample(rademacher(), 4, seed=1)
+        values = draw(rademacher(), 4, seed=1)
         assert set(np.unique(values)) <= {-1.0, 1.0}
 
     def test_exponential_mean(self):
-        values = sample(exponential(1.0), 10**6, seed=2)
+        values = draw(exponential(1.0), 10**6, seed=2)
         assert abs(values.mean() - 1.0) < 0.005
 
     def test_uniform_variance(self):
-        values = sample(uniform01(), 10**6, seed=3)
+        values = draw(uniform01(), 10**6, seed=3)
         assert abs(values.var() - 1.0 / 12.0) < 0.001
 
     def test_deterministic_per_seed(self):
-        a = sample(gaussian(1.0), 100, seed=5)
-        b = sample(gaussian(1.0), 100, seed=5)
-        c = sample(gaussian(1.0), 100, seed=6)
+        a = draw(gaussian(1.0), 100, seed=5)
+        b = draw(gaussian(1.0), 100, seed=5)
+        c = draw(gaussian(1.0), 100, seed=6)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -55,10 +57,6 @@ class TestSampling:
         first = s1[2].normal(size=4)
         _ = s2[0].normal(size=100)  # consuming another stream first must not matter
         np.testing.assert_array_equal(first, s2[2].normal(size=4))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            sample(uniform01(), 0, seed=0)
 
 
 class TestCdfQuantile:
@@ -169,32 +167,32 @@ class TestScaledHelpers:
 
 
 class TestEmpiricalCDF:
-    """The sample's own empirical CDF is ``rank_transform``: r/(n+1) with
-    average ranks on ties."""
+    """A sample's own empirical CDF is its average ranks over n + 1, with
+    ties sharing the mean of their positions."""
 
     def test_rank_of_three(self):
-        assert rank_transform([3, 1, 2])[2] == 0.5
+        assert average_ranks([3, 1, 2])[2] == 2.0
 
     def test_average_tie_rule(self):
-        assert rank_transform([1, 1, 2])[0] == 1.5 / 4.0
+        assert average_ranks([1, 1, 2])[0] == 1.5
 
     def test_single_point(self):
-        assert rank_transform([5])[0] == 0.5
+        assert average_ranks([5])[0] == 1.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            rank_transform([])
+            average_ranks([])
 
     def test_order_statistics(self, rng):
         values = rng.normal(size=100)
-        out = rank_transform(values)
-        np.testing.assert_array_equal(out[np.argsort(values)], np.arange(1, 101) / 101)
+        out = average_ranks(values)
+        np.testing.assert_array_equal(out[np.argsort(values)], np.arange(1, 101))
 
     def test_mean_exactly_half(self, rng):
         distinct = rng.normal(size=257)
-        assert np.mean(rank_transform(distinct)) == 0.5
+        assert np.mean(average_ranks(distinct) / 258) == 0.5
         tied = rng.integers(0, 5, size=200).astype(float)
-        assert np.mean(rank_transform(tied)) == 0.5
+        assert np.mean(average_ranks(tied) / 201) == 0.5
 
     @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=60))
     @settings(max_examples=60, deadline=None)
@@ -206,7 +204,7 @@ class TestEmpiricalCDF:
     @settings(max_examples=60, deadline=None)
     def test_monotone_and_interior(self, values):
         order = np.argsort(values, kind="stable")
-        out = rank_transform(values)[order]
+        out = average_ranks(values)[order] / (len(values) + 1)
         assert np.all(np.diff(out) >= 0)
         assert np.all((out > 0) & (out < 1))
 
@@ -267,7 +265,7 @@ class TestAverageRanks:
     def test_rank_transform_is_the_empirical_cdf(self, rng):
         values = np.round(rng.normal(size=1000), 1)
         expected = _searchsorted_ranks(values) / (values.size + 1)
-        assert rank_transform(values).tobytes() == expected.tobytes()
+        assert (average_ranks(values) / (values.size + 1)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):

@@ -9,15 +9,15 @@ from matchbench import (
     MomentSet,
     NumericalError,
     cca,
+    closed_form_counterexample,
     compute_moments,
-    consistency_condition,
     counterexample_market,
-    counterexample_population_moments,
     exponential,
     gaussian,
     gaussian_market,
     mrs_estimate,
     normalize_weights,
+    numeric_counterexample,
     ols_index,
     population_moments_gaussian,
     rademacher,
@@ -113,7 +113,11 @@ class TestCca:
         assert abs(result.objective - 1.0) < 1e-6
 
     def test_counterexample_population_ratio(self):
-        result = cca(counterexample_population_moments())
+        # exact moments of the benchmark market: identity x covariance, uniform y variance
+        report = closed_form_counterexample()
+        moments = MomentSet(Sxx=np.eye(2), Syy=np.array([[1.0 / 12.0]]),
+                            Sxy=np.array([[report.cov_x1], [report.cov_x2]]))
+        result = cca(moments)
         assert abs(result.alpha_hat[1] / result.alpha_hat[0] - CCA_RATIO) < 1e-9
         assert abs(result.alpha_hat[1] / result.alpha_hat[0] - 1.0) > 0.15
 
@@ -191,27 +195,37 @@ class TestOls:
             ols_index(sample)
 
 
+def consistency_residual(spec: MarketSpec, report) -> float:
+    """|a1 cov_x2 - a2 cov_x1|: zero exactly when the covariance ratio equals
+    the weight ratio, written cross-multiplied so a zero weight is no division."""
+    a1, a2 = spec.alpha
+    return abs(a1 * report.cov_x2 - a2 * report.cov_x1)
+
+
 class TestConsistencyCondition:
     def test_linear_map_passes(self):
         spec = MarketSpec(dx=2, dy=1, alpha=np.array([1.0, 2.0]) / math.sqrt(5.0), beta=[1.0],
                           p_components=(gaussian(1.0), gaussian(1.0)),
                           q_components=(gaussian(1.0),))
-        check = consistency_condition(spec, tol=1e-8)
-        assert check.holds
-        assert abs(check.lhs - check.rhs) < 1e-6
+        tol = 1e-8
+        report = numeric_counterexample(spec, tol)
+        assert consistency_residual(spec, report) <= 10 * tol
+        assert abs(spec.alpha[0] / spec.alpha[1] - report.cov_x1 / report.cov_x2) < 1e-6
 
     def test_counterexample_fails_with_known_ratio(self):
-        check = consistency_condition(counterexample_market(), tol=1e-9)
-        assert not check.holds
-        assert abs(1.0 / check.rhs - CCA_RATIO) < 1e-6
+        spec, tol = counterexample_market(), 1e-9
+        report = numeric_counterexample(spec, tol)
+        assert consistency_residual(spec, report) > 10 * tol
+        assert abs(report.cov_x2 / report.cov_x1 - CCA_RATIO) < 1e-6
 
     def test_degenerate_weight_passes_by_independence(self):
         spec = MarketSpec(dx=2, dy=1, alpha=[1.0, 0.0], beta=[1.0],
                           p_components=(rademacher(), exponential(1.0)),
                           q_components=(uniform01(),))
-        check = consistency_condition(spec, tol=1e-9)
-        assert check.holds
-        assert abs(check.cov_x2) <= 1e-8
+        tol = 1e-9
+        report = numeric_counterexample(spec, tol)
+        assert consistency_residual(spec, report) <= 10 * tol
+        assert abs(report.cov_x2) <= 1e-8
 
 
 class TestPopulationMoments:

@@ -12,18 +12,15 @@ from matchbench import (
     DegenerateIndexError,
     MarketSpec,
     MatchedSample,
-    SurplusShape,
     assignment_oracle,
-    check_supermodularity,
     counterexample_market,
     gaussian_market,
     rademacher,
     simulate_market,
-    surplus,
     uniform01,
 )
 from matchbench import market
-from matchbench.distributions import average_ranks, rank_transform
+from matchbench.distributions import average_ranks
 from matchbench.market import (
     matching_value,
     pair_surplus_matrix,
@@ -98,7 +95,7 @@ class TestSimulateMarket:
         spec = counterexample_market()
         sample = simulate_market(spec, 2000, seed=8)
         np.testing.assert_array_equal(
-            rank_transform(sample.x_index(spec.alpha)), rank_transform(sample.y_index(spec.beta))
+            average_ranks(sample.x_index(spec.alpha)), average_ranks(sample.y_index(spec.beta))
         )
 
     def test_determinism(self):
@@ -147,49 +144,57 @@ class TestTransferMap:
         assert np.max(np.abs(sample.ys[:, 0] - tmap(sample.x_index(spec.alpha)))) < 0.01
 
 
+def anti_market() -> MarketSpec:
+    """The product surplus with the y weight negated: u*(-v) is -(u*v)
+    exactly, a submodular surplus."""
+    return MarketSpec(
+        dx=1, dy=1, alpha=[1.0], beta=[-1.0],
+        p_components=(uniform01(),), q_components=(uniform01(),),
+    )
+
+
+def second_differences(pair: np.ndarray) -> np.ndarray:
+    return pair[1:, 1:] - pair[1:, :-1] - pair[:-1, 1:] + pair[:-1, :-1]
+
+
 class TestSurplus:
+    """The surplus of a couple is the product of the two indices."""
+
     def test_product_value(self):
         spec = MarketSpec(dx=2, dy=1, alpha=[1.0, 1.0], beta=[1.0],
                           p_components=(uniform01(), uniform01()), q_components=(uniform01(),))
-        assert surplus(spec, np.array([1.5, 0.5]), np.array([3.0])) == 6.0
+        assert pair_surplus_matrix([[1.5, 0.5]], [[3.0]], spec)[0, 0] == 6.0
 
     def test_depends_only_on_selected_coordinates(self):
         spec = MarketSpec(dx=3, dy=1, alpha=[1.0, 0.0, 0.0], beta=[1.0],
                           p_components=(uniform01(),) * 3, q_components=(uniform01(),))
-        assert surplus(spec, np.array([2.0, 9.0, -4.0]), np.array([1.5])) == 3.0
+        assert pair_surplus_matrix([[2.0, 9.0, -4.0]], [[1.5]], spec)[0, 0] == 3.0
 
     def test_dimension_mismatch(self):
         spec = uniform_1d_market()
         with pytest.raises(ValueError):
-            surplus(spec, np.array([1.0, 2.0]), np.array([1.0]))
+            pair_surplus_matrix([[1.0, 2.0]], [[1.0]], spec)
 
 
 class TestSupermodularity:
+    """Sorting is optimal because the product surplus has nonnegative
+    second differences on every increasing grid."""
+
     def test_product_true(self):
-        assert check_supermodularity(SurplusShape.product(), [0.0, 1.0], [0.0, 1.0])
+        pair = pair_surplus_matrix([[0.0], [1.0]], [[0.0], [1.0]], uniform_1d_market())
+        assert np.all(second_differences(pair) >= 0)
 
     def test_negated_product_false(self):
-        assert not check_supermodularity(SurplusShape.custom(lambda s, t: -s * t), [0.0, 1.0], [0.0, 1.0])
-
-    def test_min_true(self):
-        shape = SurplusShape.custom(lambda s, t: min(s, t))
-        assert check_supermodularity(shape, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-
-    def test_factory_rejects_submodular(self):
-        with pytest.raises(ValueError):
-            SurplusShape.custom_supermodular(lambda s, t: -s * t, [0.0, 1.0], [0.0, 1.0])
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            check_supermodularity(SurplusShape.product(), [0.0], [0.0, 1.0])
-        with pytest.raises(ValueError):
-            check_supermodularity(SurplusShape.product(), [1.0, 0.0], [0.0, 1.0])
+        pair = pair_surplus_matrix([[0.0], [1.0]], [[0.0], [1.0]], anti_market())
+        assert not np.all(second_differences(pair) >= 0)
 
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=6, unique=True),
            st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=6, unique=True))
     @settings(max_examples=50, deadline=None)
     def test_product_supermodular_on_any_grid(self, s, t):
-        assert check_supermodularity(SurplusShape.product(), sorted(s), sorted(t))
+        xs = np.array(sorted(s)).reshape(-1, 1)
+        ys = np.array(sorted(t)).reshape(-1, 1)
+        assert np.all(second_differences(pair_surplus_matrix(xs, ys, uniform_1d_market())) >= -1e-12)
 
 
 class TestAssignmentOracle:
@@ -200,10 +205,7 @@ class TestAssignmentOracle:
         assert value == 5.0
 
     def test_two_point_submodular_antisorts(self):
-        spec = MarketSpec(dx=1, dy=1, alpha=[1.0], beta=[1.0],
-                          p_components=(uniform01(),), q_components=(uniform01(),),
-                          phi=SurplusShape.custom(lambda s, t: -s * t))
-        perm, value = assignment_oracle([[1.0], [2.0]], [[1.0], [2.0]], spec)
+        perm, value = assignment_oracle([[1.0], [2.0]], [[1.0], [2.0]], anti_market())
         assert perm == (1, 0)
         assert value == -4.0
 
@@ -219,21 +221,6 @@ class TestAssignmentOracle:
             assert value == matching_value(pair, sorted_perm)
             assert perm == sorted_perm
 
-    def test_matches_rank_sorted_under_custom_supermodular(self, rng):
-        shape = SurplusShape.custom_supermodular(
-            lambda s, t: s * t + min(s, t), [-2.0, 0.0, 2.0], [-2.0, 0.0, 2.0]
-        )
-        spec = MarketSpec(dx=1, dy=1, alpha=[1.0], beta=[1.0],
-                          p_components=(uniform01(),), q_components=(uniform01(),),
-                          phi=shape)
-        for _ in range(8):
-            n = int(rng.integers(2, 8))
-            xs = rng.normal(size=(n, 1))
-            ys = rng.normal(size=(n, 1))
-            _, value = assignment_oracle(xs, ys, spec)
-            pair = pair_surplus_matrix(xs, ys, spec)
-            assert value == matching_value(pair, rank_sorted_permutation(xs, ys, spec))
-
     def test_matches_the_permutation_loop(self, rng):
         # reference: every permutation in lexicographic order, the first strict maximum wins
         def loop_oracle(xs, ys, spec):
@@ -246,9 +233,7 @@ class TestAssignmentOracle:
             return best_perm, best_value
 
         product = uniform_1d_market()
-        anti = MarketSpec(dx=1, dy=1, alpha=[1.0], beta=[1.0],
-                          p_components=(uniform01(),), q_components=(uniform01(),),
-                          phi=SurplusShape.custom(lambda s, t: -s * t))
+        anti = anti_market()
         for trial in range(40):
             n = int(rng.integers(1, 8))
             xs = rng.normal(size=(n, 1))

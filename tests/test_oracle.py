@@ -9,7 +9,6 @@ from matchbench import (
     NumericalError,
     QuadratureConvergenceError,
     closed_form_counterexample,
-    consistency_condition,
     counterexample_expectations,
     counterexample_market,
     exponential,
@@ -242,9 +241,11 @@ class TestTailPrecision:
         spec = MarketSpec(dx=2, dy=1, alpha=np.array([1.0, 2.0]) / math.sqrt(5.0), beta=[1.0],
                           p_components=(gaussian(1.0), gaussian(1.0)),
                           q_components=(gaussian(1.0),))
-        check = consistency_condition(spec, tol=1e-9)
-        assert check.holds
-        assert check.rhs == pytest.approx(0.5, rel=1e-8)
+        tol = 1e-9
+        report = numeric_counterexample(spec, tol)
+        a1, a2 = spec.alpha
+        assert abs(a1 * report.cov_x2 - a2 * report.cov_x1) <= 10 * tol
+        assert report.cov_x1 / report.cov_x2 == pytest.approx(0.5, rel=1e-8)
 
     def test_diagnostics_repeat_exactly(self):
         for spec in (counterexample_market(), N01_MARKET, EXP_EXP_MARKET):

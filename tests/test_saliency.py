@@ -8,48 +8,17 @@ from matchbench import (
     AffinityDecomposition,
     MatchedSample,
     RankRejectionError,
-    exponential,
     mutual_indices,
-    normalize_attributes,
     normalize_weights,
     rank1_weights,
-    sample as draw_sample,
     svd_decompose,
     verify_surplus_identity,
 )
-from matchbench.saliency import reconstruct
 
 
 def random_unit(rng, d):
     v = rng.normal(size=d)
     return normalize_weights(v)
-
-
-class TestNormalizeAttributes:
-    def test_two_point_column(self):
-        s = MatchedSample(xs=[[-2.0], [2.0]], ys=[[0.0], [1.0]])
-        normalized, scales = normalize_attributes(s)
-        np.testing.assert_allclose(normalized.xs[:, 0], [-1.0, 1.0])
-        assert scales[0] == 2.0
-
-    def test_unit_variance_column_unchanged(self, rng):
-        col = rng.normal(size=500)
-        col = (col - col.mean()) / col.std()
-        s = MatchedSample(xs=col.reshape(-1, 1), ys=col.reshape(-1, 1))
-        normalized, _ = normalize_attributes(s)
-        np.testing.assert_allclose(normalized.xs[:, 0], col, atol=1e-12)
-
-    def test_exponential_column_exact_unit_variance(self):
-        values = draw_sample(exponential(1.0), 100_000, seed=41)
-        s = MatchedSample(xs=values.reshape(-1, 1), ys=values.reshape(-1, 1))
-        normalized, _ = normalize_attributes(s)
-        assert abs(normalized.xs[:, 0].std() - 1.0) < 1e-12
-        assert abs(normalized.xs[:, 0].mean()) < 1e-12
-
-    def test_zero_variance_rejected(self):
-        s = MatchedSample(xs=np.ones((10, 1)), ys=np.arange(10.0).reshape(-1, 1))
-        with pytest.raises(ValueError):
-            normalize_attributes(s)
 
 
 class TestSvdDecompose:
@@ -92,8 +61,11 @@ class TestSvdDecompose:
             dy = int(rng.integers(1, 11))
             a = rng.normal(size=(dx, dy))
             d = svd_decompose(a)
+            # A = U' diag(lambdas) V, with the diagonal padded to dx x dy
+            lam = np.zeros((dx, dy))
+            lam[np.arange(d.lambdas.size), np.arange(d.lambdas.size)] = d.lambdas
             scale = max(1.0, float(np.linalg.norm(a)))
-            assert np.linalg.norm(reconstruct(d) - a) / scale < 1e-10
+            assert np.linalg.norm(d.U.T @ lam @ d.V - a) / scale < 1e-10
             assert np.max(np.abs(d.U @ d.U.T - np.eye(dx))) < 1e-10
             assert np.max(np.abs(d.V @ d.V.T - np.eye(dy))) < 1e-10
             assert np.all(np.diff(d.lambdas) <= 0)
@@ -112,6 +84,13 @@ class TestSvdDecompose:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             svd_decompose(np.array([[1.0, np.nan]]))
+
+    def test_rejects_an_overflowing_singular_value(self):
+        # each entry is finite, but the one singular value is 1.7e308 * sqrt(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="affinity matrix"):
+                svd_decompose([[1.7e308], [1.7e308]])
 
 
 class TestMutualIndices:
