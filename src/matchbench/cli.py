@@ -165,7 +165,7 @@ def angular_error(estimate, truth) -> float:
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    """``config`` with the --n, --seed and --methods overrides, revalidated."""
+    """``config`` with the --n, --seed and --methods overrides a command has, revalidated."""
     changes = {k: getattr(args, k) for k in ("n", "seed") if getattr(args, k, None) is not None}
     if getattr(args, "methods", None):
         changes["methods"] = tuple(args.methods.split(","))
@@ -230,9 +230,8 @@ def cmd_estimate(args) -> int:
         if method == "saliency":
             if config.affinity is None:
                 raise ConfigError("affinity: methods include 'saliency' but no affinity matrix is configured")
-            rank_tol = args.tol if args.tol is not None else 1e-8
             payload = {"method": "saliency", "alpha": None, "beta": None,
-                       **_saliency_payload(config.affinity, rank_tol)}
+                       **_saliency_payload(config.affinity, args.tol)}
         else:
             payload = ESTIMATORS[method](sample, config, _derived_seed(config.seed, 1)).to_json_dict()
         elapsed = time.perf_counter() - started
@@ -255,11 +254,11 @@ def _gaussian_comparison_market() -> MarketSpec:
 
 
 def cmd_counterexample(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-9
+    tol, n, seed = args.tol, args.n, args.seed
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol: must be a finite positive number, got {tol!r}")
-    n = args.n if args.n is not None else 1_000_000
-    seed = args.seed if args.seed is not None else 0
+    _count("--n", n, 2)
+    _count("--seed", seed, 0)
     out = _out_dir(args)
 
     if args.gaussian:
@@ -388,7 +387,6 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_saliency(args) -> int:
-    rank_tol = args.tol if args.tol is not None else 1e-8
     if args.affinity:
         try:
             matrix = np.loadtxt(args.affinity, delimiter=",", ndmin=2)
@@ -404,10 +402,10 @@ def cmd_saliency(args) -> int:
     else:
         raise ConfigError("saliency needs --affinity CSV or --config with an inline matrix")
     out = _out_dir(args)
-    payload = _saliency_payload(matrix, rank_tol)
+    payload = _saliency_payload(matrix, args.tol)
     write_json(out / "saliency.json", payload)
     shares = ", ".join(f"{s:.4f}" for s in payload["shares"])
-    print(f"numerical rank {payload['rank']} (tol {rank_tol}); surplus shares: {shares}")
+    print(f"numerical rank {payload['rank']} (tol {args.tol}); surplus shares: {shares}")
     print(f"wrote {out / 'saliency.json'}")
     return 0
 
@@ -419,27 +417,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON experiment config")
-        p.add_argument("--n", type=int, help="override sample size")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, help="override seed")
         p.add_argument("--out", help="output directory")
 
     p_sim = sub.add_parser("simulate", help="draw a matched sample and write it to CSV")
     add_common(p_sim)
+    p_sim.add_argument("--n", type=int, help="override sample size")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="run estimators on a sample CSV")
     add_common(p_est)
     p_est.add_argument("--sample", required=True, help="matched sample CSV")
     p_est.add_argument("--methods", help="comma-separated method override")
-    p_est.add_argument("--tol", type=float, help="rank tolerance for the saliency method")
+    p_est.add_argument("--tol", type=float, default=1e-8,
+                       help="rank tolerance for the saliency method (default %(default)s)")
     p_est.set_defaults(func=cmd_estimate)
 
     p_ctr = sub.add_parser("counterexample", help="closed form vs quadrature vs Monte Carlo")
-    p_ctr.add_argument("--tol", type=float, help="quadrature tolerance (default 1e-9)")
-    p_ctr.add_argument("--n", type=int, help="Monte Carlo draws (default 1e6)")
-    p_ctr.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
+    p_ctr.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance (default %(default)s)")
+    p_ctr.add_argument("--n", type=int, default=1_000_000, help="Monte Carlo draws (default %(default)s)")
+    p_ctr.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default %(default)s)")
     p_ctr.add_argument("--out", help="output directory")
     p_ctr.add_argument("--gaussian", action="store_true",
                        help="run the all-Gaussian comparison market instead")
@@ -453,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sal = sub.add_parser("saliency", help="SVD saliency analysis of an affinity matrix")
     p_sal.add_argument("--affinity", help="dense CSV matrix")
     p_sal.add_argument("--config", help="config with an inline affinity matrix")
-    p_sal.add_argument("--tol", type=float, help="numerical rank tolerance (default 1e-8)")
+    p_sal.add_argument("--tol", type=float, default=1e-8, help="numerical rank tolerance (default %(default)s)")
     p_sal.add_argument("--out", help="output directory")
     p_sal.set_defaults(func=cmd_saliency)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,8 @@ class DistributionModel:
             raise ValueError(f"kind: must be one of {KINDS}, got {self.kind!r}")
         if self.kind in ("gaussian", "exponential"):
             param = self.param
-            if isinstance(param, bool) or not isinstance(param, numbers.Real) or not (0 < param < math.inf):
+            # the upper bound also refuses integers too large for a float
+            if isinstance(param, bool) or not isinstance(param, numbers.Real) or not (0 < param <= sys.float_info.max):
                 raise ValueError(f"param: {self.kind} requires a finite positive number, got {param!r}")
         elif self.param is not None:
             raise ValueError(f"param: {self.kind} takes no parameter, got {self.param!r}")
@@ -75,15 +77,6 @@ class DistributionModel:
         if self.kind == "exponential":
             return 1.0 / self.param
         return 0.5 if self.kind == "uniform01" else 0.0
-
-    def var(self) -> float:
-        if self.kind == "gaussian":
-            return self.param**2
-        if self.kind == "rademacher":
-            return 1.0
-        if self.kind == "exponential":
-            return 1.0 / self.param**2
-        return 1.0 / 12.0
 
     def atoms(self) -> list[tuple[float, float]]:
         """(value, probability) pairs for purely atomic kinds."""

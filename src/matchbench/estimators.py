@@ -23,6 +23,7 @@ from .market import MarketSpec, MatchedSample
 from .saliency import svd_decompose
 
 _TWO_PI = 2.0 * math.pi
+_EIGEN_FLOOR_RATIO = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,14 +45,6 @@ class MomentSet:
         object.__setattr__(self, "Sxx", Sxx)
         object.__setattr__(self, "Syy", Syy)
         object.__setattr__(self, "Sxy", Sxy)
-
-    @property
-    def dx(self) -> int:
-        return self.Sxx.shape[0]
-
-    @property
-    def dy(self) -> int:
-        return self.Syy.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,17 +100,17 @@ def compute_moments(sample: MatchedSample) -> MomentSet:
     return MomentSet(Sxx=xc.T @ xc / n, Syy=yc.T @ yc / n, Sxy=xc.T @ yc / n)
 
 
-def _inverse_sqrt_clipped(S: np.ndarray, floor_ratio: float = 1e-10) -> tuple[np.ndarray, int]:
+def _inverse_sqrt_clipped(S: np.ndarray) -> tuple[np.ndarray, int]:
     """Symmetric inverse square root with small eigenvalues lifted to a floor.
 
-    Eigenvalues below floor_ratio times the largest are clipped to that
-    floor so behavior near rank deficiency stays deterministic.
+    Eigenvalues below _EIGEN_FLOOR_RATIO times the largest are clipped to
+    that floor so behavior near rank deficiency stays deterministic.
     """
     w, q = np.linalg.eigh(0.5 * (S + S.T))
     top = w.max()
     if top <= 0.0:
         raise NumericalError("covariance matrix has no positive eigenvalue")
-    floor = floor_ratio * top
+    floor = _EIGEN_FLOOR_RATIO * top
     clipped = int(np.sum(w < floor))
     w = np.maximum(w, floor)
     return (q * (w**-0.5)) @ q.T, clipped
@@ -433,9 +426,9 @@ def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
     return partial[0]
 
 
-def kernel_regression(sample: MatchedSample, response_coordinate: int, points, bandwidths) -> np.ndarray:
-    """Nadaraya-Watson fit of one y attribute on all x attributes with a
-    product Gaussian kernel, evaluated at the given points.
+def kernel_regression(sample: MatchedSample, points, bandwidths) -> np.ndarray:
+    """Nadaraya-Watson fit of y1 on all x attributes with a product
+    Gaussian kernel, evaluated at the given points.
 
     Works one x column at a time on (points, n) arrays, with the
     arithmetic of summing a (points, n, dx) array of squared scaled
@@ -443,7 +436,7 @@ def kernel_regression(sample: MatchedSample, response_coordinate: int, points, b
     """
     cols = np.ascontiguousarray(sample.xs.T)
     dx, n = cols.shape
-    y = sample.ys[:, response_coordinate]
+    y = sample.ys[:, 0]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != dx:
         raise ValueError(f"evaluation points must have dx={dx} columns, got shape {pts.shape}")
@@ -479,7 +472,9 @@ def _derivatives_at(sample: MatchedSample, pts: np.ndarray, h: np.ndarray) -> np
         step[i] = h[i] / 2.0
         stacked.append(pts + step)
         stacked.append(pts - step)
-    values = kernel_regression(sample, 0, np.vstack(stacked), h)
+    # by keyword: bench/layers.py reads points as positional argument 2 or as
+    # ``points``, so a positional call would have it count the bandwidths
+    values = kernel_regression(sample, points=np.vstack(stacked), bandwidths=h)
     values = values.reshape(dx, 2, pts.shape[0])
     return np.stack([(values[i, 0] - values[i, 1]) / h[i] for i in range(dx)], axis=1)
 
@@ -554,7 +549,7 @@ def population_moments_gaussian(spec: MarketSpec) -> MomentSet:
             return cov
         if any(c.kind != "gaussian" for c in components):
             raise ValueError(f"{label} components must all be gaussian")
-        return np.diag([c.var() for c in components])
+        return np.diag([c.param**2 for c in components])
 
     cov_x = side_cov(spec.p_components, spec.p_cov, "P")
     cov_y = side_cov(spec.q_components, spec.q_cov, "Q")

@@ -287,12 +287,16 @@ def simulate_market(spec: MarketSpec, n: int, seed: int) -> MatchedSample:
     streams = seed_streams(seed, spec.dx + spec.dy)
     xs = _draw_side(spec.p_components, spec.p_cov, spec.dx, n, streams[: spec.dx])
     ys = _draw_side(spec.q_components, spec.q_cov, spec.dy, n, streams[spec.dx :])
-    u = xs @ spec.alpha
-    v = ys @ spec.beta
-    if np.var(u) == 0.0:
-        raise DegenerateIndexError("x-side index has zero variance")
-    if np.var(v) == 0.0:
-        raise DegenerateIndexError("y-side index has zero variance")
+    # an inf or nan in an index, or a spread too wide for a float, makes its variance non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = xs @ spec.alpha
+        v = ys @ spec.beta
+        spreads = np.var(u), np.var(v)
+    for side, spread, fields in (("x", spreads[0], "alpha/p_components"), ("y", spreads[1], "beta/q_components")):
+        if not math.isfinite(spread):
+            raise ValueError(f"{fields}: the {side}-side index overflows a float; rescale the weights or params")
+        if spread == 0.0:
+            raise DegenerateIndexError(f"{side}-side index has zero variance")
     return MatchedSample(xs=xs[np.argsort(u, kind="stable")], ys=ys[np.argsort(v, kind="stable")])
 
 

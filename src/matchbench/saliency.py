@@ -24,16 +24,14 @@ class AffinityDecomposition:
     Row i of U holds the x-side loadings of the i-th mutual-attractiveness
     index, row i of V the y-side loadings. ``shares`` is each singular
     value's fraction of the total; ``numerical_rank`` counts singular
-    values above rank_tol * lambda_1.
+    values above svd_decompose's rank_tol * lambda_1.
     """
 
-    A: np.ndarray
     U: np.ndarray
     V: np.ndarray
     lambdas: np.ndarray
     shares: np.ndarray
     numerical_rank: int
-    rank_tol: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -86,16 +84,14 @@ def svd_decompose(A, rank_tol: float = 1e-8) -> AffinityDecomposition:
     scaled, total = (s / s[0], (s / s[0]).sum()) if np.isinf(total) else (s, total)
     shares = scaled / total if total > 0 else np.zeros_like(s)
     rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
-    return AffinityDecomposition(
-        A=A.copy(), U=U, V=V, lambdas=s, shares=shares, numerical_rank=rank, rank_tol=float(rank_tol)
-    )
+    return AffinityDecomposition(U=U, V=V, lambdas=s, shares=shares, numerical_rank=rank)
 
 
 def mutual_indices(decomp: AffinityDecomposition, sample: MatchedSample) -> tuple[np.ndarray, np.ndarray]:
     """Rotate attributes into the coordinates where the surplus is diagonal."""
-    dx, dy = decomp.A.shape
+    dx, dy = decomp.U.shape[0], decomp.V.shape[0]
     if sample.dx != dx or sample.dy != dy:
-        raise ValueError(f"sample dims ({sample.dx}, {sample.dy}) do not match affinity shape {decomp.A.shape}")
+        raise ValueError(f"sample dims ({sample.dx}, {sample.dy}) do not match affinity shape {(dx, dy)}")
     return sample.xs @ decomp.U.T, sample.ys @ decomp.V.T
 
 

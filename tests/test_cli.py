@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -15,7 +17,8 @@ from hypothesis import strategies as st
 
 import matchbench
 from matchbench import ConfigError, MatchedSample
-from matchbench.cli import _apply_overrides, load_config, main
+from matchbench.cli import _apply_overrides, build_parser, load_config, main
+from matchbench.distributions import KINDS
 
 COUNTEREXAMPLE_MARKET = {
     "dx": 2,
@@ -108,6 +111,20 @@ class TestConfig:
         ("market", COUNTEREXAMPLE_MARKET | {"dy": 2, "beta": [1.0, 1.0], "q_components": [
             {"kind": "uniform01"}, {"kind": "gaussian", "param": "1"}]}, "market: q_components[1].param:"),
         ("market.phi", "custom", "market: phi:"),
+        ("market.alpha", [1e308, 1e308], "alpha/p_components:"),
+        ("market.p_components", [{"kind": "rademacher"}, {"kind": "exponential", "param": 1e-308}],
+         "alpha/p_components:"),
+        ("market.p_components", [{"kind": "rademacher"}, {"kind": "exponential", "param": 10**400}],
+         "market: p_components[1].param:"),
+        ("market.q_components", [{"kind": "gaussian", "param": 10**400}], "market: q_components[0].param:"),
+        ("market", MISSING, "market: missing"),
+        ("spearmen", {"restarts": 2}, "unknown config keys ['spearmen']"),
+        ("market.phy", "product", "unknown market keys ['phy']"),
+        ("market", GAUSSIAN_P_MARKET | {"p_gaussian_cov": [[1.0]]}, "market: p_gaussian_cov: covariance must be 2x2"),
+        ("market", GAUSSIAN_P_MARKET | {"p_gaussian_cov": [[1.0, 0.5], [0.0, 1.0]]},
+         "market: p_gaussian_cov: covariance must be symmetric"),
+        ("market.beta", [1.0, 1.0], "market: beta must have length dy=1"),
+        ("market.beta", [0.0], "market: beta must be nonzero"),
     ], ids=["no-dx", "no-dy", "no-alpha", "no-beta", "null-dx", "null-n", "null-seed", "null-sweep",
             "negative-seed", "float-seed", "ragged-affinity", "text-affinity", "zero-grid-resolution",
             "tiny-grid-resolution", "restart-typo", "list-restarts", "float-restarts", "bool-restarts",
@@ -115,7 +132,9 @@ class TestConfig:
             "int-out-dir", "float-dx", "text-dx", "bool-param", "infinite-param", "text-param",
             "infinite-alpha", "list-market", "numeric-text-alpha", "bool-alpha", "numeric-text-beta",
             "numeric-text-p-cov", "bool-p-cov", "numeric-text-q-cov", "numeric-text-affinity", "bool-affinity",
-            "text-second-q-param", "custom-phi"])
+            "text-second-q-param", "custom-phi", "overflowing-alpha", "overflowing-draws", "huge-int-param",
+            "huge-int-gaussian-param", "no-market", "unknown-key", "unknown-market-key", "cov-shape",
+            "asymmetric-cov", "long-beta", "zero-beta"])
     def test_missing_or_null_field_is_named(self, tmp_path, capsys, key, value, shown):
         config = {"market": dict(COUNTEREXAMPLE_MARKET), "n": 400, "seed": 7}
         target = config["market"] if key.startswith("market.") else config
@@ -161,6 +180,16 @@ class TestConfig:
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("text, shown", [
+        ('{"n": 400,\n "seed": 7,}', "invalid JSON at line 2, column 12"),
+        ("[1, 2]", "config root must be a JSON object"),
+    ], ids=["invalid-json", "list-root"])
+    def test_unparsable_config_is_named(self, tmp_path, capsys, text, shown):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert shown in capsys.readouterr().err
+
 
 # Any JSON value, with integers kept small so no draw asks for a long search.
 JSON_VALUES = st.recursive(
@@ -184,6 +213,19 @@ def all_numbers(value) -> bool:
 
 def matrices(rows: int, cols: int):
     return st.lists(st.lists(NUMBER_LIKE, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def component(kind: str):
+    """A component of ``kind``; a gaussian or exponential takes a param from
+    a set with an integer too large for a float and scales whose draws overflow."""
+    params = st.sampled_from([10**400, 1e-308, 1e308, 1.0, 2]) if kind in ("gaussian", "exponential") else st.none()
+    return st.fixed_dictionaries({"kind": st.just(kind), "param": params})
+
+
+def component_lists(dim: int):
+    """Either ``dim`` components, one unknown kind among the kinds, or any JSON
+    value; a null list is the same as none."""
+    return st.lists(st.sampled_from(KINDS + ("cauchy",)).flatmap(component), min_size=dim, max_size=dim) | JSON_VALUES
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +313,19 @@ class TestConfigFuzz:
         drawn = [alpha, beta, p_cov, q_cov] + ([affinity] if affinity is not None else [])
         if not all(all_numbers(value) for value in drawn if value is not MISSING):
             assert rc == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(p_components=component_lists(2), q_components=component_lists(1))
+    def test_components_exit_with_a_code_never_a_traceback(self, p_components, q_components):
+        market = dict(COUNTEREXAMPLE_MARKET)
+        market.update(p_components=p_components, q_components=q_components)
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "cfg.json"
+            path.write_text(json.dumps({"market": market, "n": 50}))
+            rc = main(["simulate", "--config", str(path), "--out", out])
+            assert rc in (0, 2, 3)
+            if rc == 2:
+                assert not (Path(out) / "sample.csv").exists()
 
 
 class TestSimulate:
@@ -397,8 +452,9 @@ class TestEstimate:
             ("x1,x2,y1\n1,2,3\n\n4,inf,1\n", "line 4: expected 3 finite numbers"),
             ("x1,x2,y1\n1,2,3\n4,five,1\n", "line 3: expected 3 finite numbers"),
             ("x1,x2,y1\n1,2,3\n4,5\n", "line 3: expected 3 finite numbers"),
+            ("x1,y2,y1\n1,2,3\n", "unexpected sample header ['x1', 'y2', 'y1']"),
         ],
-        ids=["empty", "header_only", "nan_row", "inf_after_blank", "text", "short_row"],
+        ids=["empty", "header_only", "nan_row", "inf_after_blank", "text", "short_row", "bad_header"],
     )
     def test_malformed_sample_is_config_error(self, tmp_path, capsys, text, shown):
         cfg = write_config(tmp_path / "cfg.json", methods=["cca", "spearman"])
@@ -502,6 +558,13 @@ class TestCounterexampleCommand:
             assert gap <= 10 * payload["tol"], key
         assert elapsed < 2.0
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--n", "1"), ("--n", "0")])
+    def test_rejects_bad_draw_count_or_seed(self, tmp_path, capsys, flag, value):
+        rc = main(["counterexample", flag, value, "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"{flag}: must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "counterexample.json").exists()
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
     def test_rejects_non_finite_or_non_positive_tol(self, tmp_path, capsys, tol):
         rc = main(["counterexample", f"--tol={tol}", "--out", str(tmp_path)])
@@ -578,6 +641,19 @@ class TestSaliencyCommand:
         assert "affinity" in err
         assert not (tmp_path / "o" / "saliency.json").exists()
 
+    @pytest.mark.parametrize("source, shown", [
+        (["--affinity", "missing.csv"], "cannot read affinity matrix"),
+        (["--affinity", "text.csv"], "text.csv: not a dense numeric CSV"),
+        (["--config", "cfg.json"], "affinity: config has no inline affinity matrix"),
+    ], ids=["missing-csv", "text-csv", "config-without-affinity"])
+    def test_unusable_matrix_source_is_named(self, tmp_path, capsys, source, shown):
+        (tmp_path / "text.csv").write_text("1,a\n2,b\n")
+        write_config(tmp_path / "cfg.json")
+        rc = main(["saliency", source[0], str(tmp_path / source[1]), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert shown in capsys.readouterr().err
+        assert not (tmp_path / "o" / "saliency.json").exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
@@ -592,6 +668,23 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "sample.csv").exists()
+
+    @pytest.mark.parametrize("command", [["estimate", "--sample", "x.csv"], ["benchmark"]],
+                             ids=["estimate", "benchmark"])
+    def test_only_simulate_takes_n(self, tmp_path, command):
+        # the sample size of estimate is the sample's, and a benchmark's the sweep's
+        cfg = write_config(tmp_path / "cfg.json", sweep=[100])
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--config", str(cfg), "--n", "5"])
+        assert exc.value.code == 2
+
+    def test_readme_commands_parse(self):
+        readme = (Path(matchbench.__file__).parents[2] / "README.md").read_text()
+        blocks = re.findall(r"```bash\n(.*?)```", readme, re.S)
+        lines = [line for block in blocks for line in block.splitlines() if line.startswith("matchbench ")]
+        assert len(lines) >= 6
+        for line in lines:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2

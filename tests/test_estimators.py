@@ -296,8 +296,8 @@ class TestMrs:
         for i in range(2):
             step = np.zeros(2)
             step[i] = h[i] / 2.0
-            refit = (kernel_regression(sample, 0, xs[:5] + step, h)
-                     - kernel_regression(sample, 0, xs[:5] - step, h)) / h[i]
+            refit = (kernel_regression(sample, xs[:5] + step, h)
+                     - kernel_regression(sample, xs[:5] - step, h)) / h[i]
             np.testing.assert_allclose(derivatives[:, i], refit, atol=1e-6)
 
     def test_zero_variance_attribute_rejected(self):
@@ -315,10 +315,10 @@ class TestMrs:
         assert json.dumps(mrs_estimate(sample()).to_json_dict(), sort_keys=True) == expected
 
 
-def broadcast_kernel_regression(sample, response_coordinate, points, bandwidths):
+def broadcast_kernel_regression(sample, points, bandwidths):
     """The (points, n, dx) broadcast form of kernel_regression, kept as its reference."""
     X = sample.xs
-    y = sample.ys[:, response_coordinate]
+    y = sample.ys[:, 0]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     h = np.asarray(bandwidths, dtype=float)
     out = np.empty(pts.shape[0])
@@ -340,17 +340,16 @@ class TestKernelRegression:
         sample = random_sample(rng, n=20_000, dx=dx, dy=2)
         points = 1.5 * rng.normal(size=(250, dx))
         h = 1.06 * sample.xs.std(axis=0) * sample.n ** -0.2
-        for k in range(2):
-            expected = broadcast_kernel_regression(sample, k, points, h)
-            assert np.array_equal(kernel_regression(sample, k, points, h), expected)
+        expected = broadcast_kernel_regression(sample, points, h)
+        assert np.array_equal(kernel_regression(sample, points, h), expected)
 
     @pytest.mark.parametrize("dx", [8, 9, 17])
     def test_bit_identical_where_numpy_sums_pairwise(self, rng, dx):
         sample = random_sample(rng, n=2_000, dx=dx, dy=1)
         points = rng.normal(size=(4, dx))
         h = 3.0 * sample.xs.std(axis=0)
-        expected = broadcast_kernel_regression(sample, 0, points, h)
-        assert np.array_equal(kernel_regression(sample, 0, points, h), expected)
+        expected = broadcast_kernel_regression(sample, points, h)
+        assert np.array_equal(kernel_regression(sample, points, h), expected)
 
     @pytest.mark.parametrize("count", [1, 7, 8, 9, 16, 23, 128, 129, 130, 300])
     def test_pairwise_sum_adds_in_numpy_order(self, rng, count):
@@ -363,7 +362,7 @@ class TestKernelRegression:
     def test_points_without_dx_columns_rejected(self, rng, points):
         sample = random_sample(rng, n=200, dx=2, dy=1)
         with pytest.raises(ValueError, match="dx=2 columns"):
-            kernel_regression(sample, 0, points, [0.3, 0.3])
+            kernel_regression(sample, points, [0.3, 0.3])
 
     @pytest.mark.parametrize(
         "bandwidths",
@@ -373,4 +372,4 @@ class TestKernelRegression:
     def test_bandwidths_must_be_dx_finite_positive(self, rng, bandwidths):
         sample = random_sample(rng, n=200, dx=2, dy=1)
         with pytest.raises(NumericalError, match="bandwidth degenerate"):
-            kernel_regression(sample, 0, [[0.0, 0.0]], bandwidths)
+            kernel_regression(sample, [[0.0, 0.0]], bandwidths)

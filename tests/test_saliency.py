@@ -103,8 +103,8 @@ class TestMutualIndices:
     def test_permutation_loadings_reorder(self, rng):
         s = MatchedSample(xs=rng.normal(size=(20, 2)), ys=rng.normal(size=(20, 2)))
         perm = np.array([[0.0, 1.0], [1.0, 0.0]])
-        d = AffinityDecomposition(A=perm, U=perm, V=np.eye(2), lambdas=np.ones(2),
-                                  shares=np.full(2, 0.5), numerical_rank=2, rank_tol=1e-8)
+        d = AffinityDecomposition(U=perm, V=np.eye(2), lambdas=np.ones(2),
+                                  shares=np.full(2, 0.5), numerical_rank=2)
         xt, _ = mutual_indices(d, s)
         np.testing.assert_allclose(xt, s.xs[:, ::-1])
 
