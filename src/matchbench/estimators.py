@@ -94,10 +94,14 @@ def normalize_weights(w) -> np.ndarray:
 def compute_moments(sample: MatchedSample) -> MomentSet:
     if sample.n < 2:
         raise ValueError("need at least two couples")
-    xc = sample.xs - sample.xs.mean(axis=0)
-    yc = sample.ys - sample.ys.mean(axis=0)
     n = sample.n
-    return MomentSet(Sxx=xc.T @ xc / n, Syy=yc.T @ yc / n, Sxy=xc.T @ yc / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = sample.xs - sample.xs.mean(axis=0)
+        yc = sample.ys - sample.ys.mean(axis=0)
+        moments = MomentSet(Sxx=xc.T @ xc / n, Syy=yc.T @ yc / n, Sxy=xc.T @ yc / n)
+    if not all(np.isfinite(S).all() for S in (moments.Sxx, moments.Syy, moments.Sxy)):
+        raise ValueError("sample: second moments overflow a float; rescale the columns")
+    return moments
 
 
 def _inverse_sqrt_clipped(S: np.ndarray) -> tuple[np.ndarray, int]:
@@ -150,6 +154,7 @@ def ols_index(sample: MatchedSample) -> EstimatorResult:
     Variables are centered first, so the fitted weights agree with the
     moment-based estimators regardless of nonzero attribute means.
     """
+    moments = compute_moments(sample)
     xc = sample.xs - sample.xs.mean(axis=0)
     yc = sample.ys - sample.ys.mean(axis=0)
     target = yc[:, 0]
@@ -164,7 +169,6 @@ def ols_index(sample: MatchedSample) -> EstimatorResult:
         raise NumericalError("least squares fit gives all-zero x weights (constant response?)")
     beta = np.concatenate([[1.0], -coef[sample.dx :]])
     resid = target - design @ coef
-    moments = compute_moments(sample)
     return EstimatorResult(
         alpha_hat=normalize_weights(alpha),
         beta_hat=normalize_weights(beta),

@@ -274,10 +274,25 @@ def _draw_side(components, cov, dim, n, streams) -> np.ndarray:
     return z @ np.linalg.cholesky(cov).T
 
 
+def _coupling_order(index: np.ndarray) -> np.ndarray:
+    """The stable sorting permutation of ``index``: ties keep draw order.
+
+    Numpy's default sort is several times faster than the stable one. When
+    no two keys compare equal the sorting permutation is unique, so the two
+    agree; a tie (±0.0 and ±inf included) or a nan takes the stable sort.
+    """
+    order = np.argsort(index)
+    ranked = index[order]
+    if np.any(ranked[1:] == ranked[:-1]) or np.isnan(ranked[-1:]).any():
+        return np.argsort(index, kind="stable")
+    return order
+
+
 def simulate_market(spec: MarketSpec, n: int, seed: int) -> MatchedSample:
     """Draw both sides independently and pair equal index ranks.
 
-    Sorting is stable with original draw order as the tiebreaker, so the
+    Each side is ordered by ``_coupling_order``: the stable sort's
+    permutation, with original draw order as the tiebreaker, so the
     coupling is deterministic even when an index has atoms. One Philox
     stream per attribute column keeps draws reproducible under any
     evaluation order.
@@ -297,7 +312,7 @@ def simulate_market(spec: MarketSpec, n: int, seed: int) -> MatchedSample:
             raise ValueError(f"{fields}: the {side}-side index overflows a float; rescale the weights or params")
         if spread == 0.0:
             raise DegenerateIndexError(f"{side}-side index has zero variance")
-    return MatchedSample(xs=xs[np.argsort(u, kind="stable")], ys=ys[np.argsort(v, kind="stable")])
+    return MatchedSample(xs=np.take(xs, _coupling_order(u), axis=0), ys=np.take(ys, _coupling_order(v), axis=0))
 
 
 def matching_value(pair_surplus: np.ndarray, perm) -> float:
@@ -310,10 +325,8 @@ def rank_sorted_permutation(xs, ys, spec: MarketSpec) -> tuple[int, ...]:
     """Permutation pairing equal index ranks (the comonotone matching)."""
     u = np.asarray(xs, float) @ spec.alpha
     v = np.asarray(ys, float) @ spec.beta
-    ox = np.argsort(u, kind="stable")
-    oy = np.argsort(v, kind="stable")
     perm = np.empty(u.size, dtype=int)
-    perm[ox] = oy
+    perm[_coupling_order(u)] = _coupling_order(v)
     return tuple(int(j) for j in perm)
 
 

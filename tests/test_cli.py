@@ -432,6 +432,19 @@ class TestEstimate:
         assert rc == 3
         assert "all-zero x weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["cca", "ols"])
+    def test_overflowing_moments_are_config_error(self, tmp_path, capsys, method):
+        cfg = write_config(tmp_path / "cfg.json")
+        sample_path = tmp_path / "sample.csv"
+        sample_path.write_text("x1,x2,y1\n1e200,-1e200,1e200\n-1e200,1e200,-1e200\n"
+                               "1e200,1e200,-1e200\n-1e200,-1e200,1e200\n")
+        rc = main(["estimate", "--config", str(cfg), "--sample", str(sample_path),
+                   "--methods", method, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "sample: second moments overflow a float; rescale the columns" in err
+        assert not (tmp_path / "o" / f"estimate_{method}.json").exists()
+
     def test_mrs_estimate_is_byte_reproducible(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n=3000, methods=["mrs"])
         main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")])

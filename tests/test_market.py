@@ -1,11 +1,12 @@
 import csv
+import hashlib
 import io
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchbench import (
@@ -20,6 +21,7 @@ from matchbench import (
     uniform01,
 )
 from matchbench import market
+from matchbench.cli import _gaussian_comparison_market
 from matchbench.distributions import average_ranks
 from matchbench.market import (
     matching_value,
@@ -120,6 +122,67 @@ class TestSimulateMarket:
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
             simulate_market(uniform_1d_market(), 1, seed=0)
+
+
+# keys with ties by construction: each entry is drawn from a small pool
+# that mixes 0.0 and -0.0, both infinities and nan with ordinary floats
+_TIED_KEYS = st.lists(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -2.5]) | st.floats(),
+    min_size=1, max_size=6,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+def sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+class TestCouplingOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(keys=_TIED_KEYS | st.lists(st.floats(), min_size=1, max_size=40))
+    @example(keys=[1.0])
+    @example(keys=[2.0, 1.0])
+    @example(keys=[1.0, 1.0])
+    @example(keys=[3.0] * 25)
+    @example(keys=[0.0, -0.0, 0.0])
+    @example(keys=[math.inf, -math.inf, math.inf])
+    @example(keys=[math.nan, 1.0, math.nan])
+    @example(keys=[math.nan])
+    @example(keys=[math.nan if i % 3 else float(-i) for i in range(40)])  # nans the default sort reorders
+    def test_equals_the_stable_argsort(self, keys):
+        index = np.array(keys, dtype=float)
+        got = market._coupling_order(index)
+        want = np.argsort(index, kind="stable")
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "p_components, kinds",
+        [((uniform01(),), [None, None]), ((rademacher(),), [None, "stable", None])],
+        ids=["tie-free", "coin-only"],
+    )
+    def test_only_a_tied_index_takes_the_stable_sort(self, monkeypatch, p_components, kinds):
+        spec = MarketSpec(dx=1, dy=1, alpha=[1.0], beta=[1.0],
+                          p_components=p_components, q_components=(uniform01(),))
+        argsort, seen = np.argsort, []
+
+        def counting(a, *args, kind=None, **kwargs):
+            seen.append(kind)
+            return argsort(a, *args, kind=kind, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        simulate_market(spec, 1000, seed=4)
+        assert seen == kinds
+
+    # recorded when each side was ordered by the stable argsort alone and
+    # gathered by fancy indexing: the faster order must not move a byte
+    def test_benchmark_market_bytes_are_pinned(self, counterexample_sample_1m):
+        assert sha256(counterexample_sample_1m.xs) == "a2d66847ebbf68a4d4c6a753c7fd745339297a4dbd2cc6c1bf9350c015361814"
+        assert sha256(counterexample_sample_1m.ys) == "731b85819adcc4becd8974c70f7849d345f47e5cfd76fa7d7328cd130cd34c60"
+
+    def test_gaussian_comparison_market_bytes_are_pinned(self):
+        sample = simulate_market(_gaussian_comparison_market(), 1_000_000, seed=0)
+        assert sha256(sample.xs) == "946b72ed03587f6e3942510f01653a5db8418295b91247f5b1d2b8360a62b8b4"
+        assert sha256(sample.ys) == "6ec0ab2b9ce4b5ba56e4eeff624db6d8fc5e1a4fb6e1abc8f8d10d74954943a5"
 
 
 class TestTransferMap:
