@@ -64,6 +64,12 @@ def _count(key: str, value, minimum: int) -> None:
         raise ConfigError(f"{key}: must be an integer >= {minimum}, got {value!r}")
 
 
+def _rank_tol(tol: float) -> None:
+    """Raise unless ``tol`` is a finite number >= 0 (0 asks for the exact rank)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"--tol: must be a finite number >= 0, got {tol!r}")
+
+
 def _derived_seed(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence([int(seed), *tags]).generate_state(1, np.uint64)[0])
 
@@ -217,6 +223,7 @@ def _saliency_payload(matrix, rank_tol: float) -> dict:
 
 
 def cmd_estimate(args) -> int:
+    _rank_tol(args.tol)
     config = _apply_overrides(load_config(args.config), args)
     sample = MatchedSample.from_csv(args.sample)
     if sample.dx != config.market.dx or sample.dy != config.market.dy:
@@ -387,6 +394,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_saliency(args) -> int:
+    _rank_tol(args.tol)
     if args.affinity:
         try:
             matrix = np.loadtxt(args.affinity, delimiter=",", ndmin=2)

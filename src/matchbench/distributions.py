@@ -78,12 +78,6 @@ class DistributionModel:
             return 1.0 / self.param
         return 0.5 if self.kind == "uniform01" else 0.0
 
-    def atoms(self) -> list[tuple[float, float]]:
-        """(value, probability) pairs for purely atomic kinds."""
-        if self.kind != "rademacher":
-            raise ValueError(f"{self.kind} is not atomic")
-        return [(-1.0, 0.5), (1.0, 0.5)]
-
     def cdf(self, z):
         """Right-continuous CDF; the exponential CDF is 0 on negatives."""
         arr, scalar = _as_float_array(z)

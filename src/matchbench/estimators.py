@@ -24,6 +24,7 @@ from .saliency import svd_decompose
 
 _TWO_PI = 2.0 * math.pi
 _EIGEN_FLOOR_RATIO = 1e-10
+_MOMENTS_OVERFLOW = "sample: second moments overflow a float; rescale the columns"
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +101,7 @@ def compute_moments(sample: MatchedSample) -> MomentSet:
         yc = sample.ys - sample.ys.mean(axis=0)
         moments = MomentSet(Sxx=xc.T @ xc / n, Syy=yc.T @ yc / n, Sxy=xc.T @ yc / n)
     if not all(np.isfinite(S).all() for S in (moments.Sxx, moments.Syy, moments.Sxy)):
-        raise ValueError("sample: second moments overflow a float; rescale the columns")
+        raise ValueError(_MOMENTS_OVERFLOW)
     return moments
 
 
@@ -483,10 +484,19 @@ def _derivatives_at(sample: MatchedSample, pts: np.ndarray, h: np.ndarray) -> np
     return np.stack([(values[i, 0] - values[i, 1]) / h[i] for i in range(dx)], axis=1)
 
 
+def _column_sds(a: np.ndarray) -> np.ndarray:
+    """Standard deviations of the columns of ``a``, refused when they overflow a float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sds = a.std(axis=0)
+    if not np.isfinite(sds).all():
+        raise ValueError(_MOMENTS_OVERFLOW)
+    return sds
+
+
 def _mrs_design(sample: MatchedSample) -> tuple[np.ndarray, np.ndarray]:
     """The evaluation points and bandwidths of ``mrs_estimate``."""
     X = sample.xs
-    sds = X.std(axis=0)
+    sds = _column_sds(X)
     if np.any(sds == 0.0):
         raise NumericalError("bandwidth degenerate: an x attribute has zero variance")
     dist = np.sum(((X - X.mean(axis=0)) / sds) ** 2, axis=1)
@@ -507,6 +517,7 @@ def mrs_estimate(sample: MatchedSample) -> EstimatorResult:
     median derivative, beta the unit vector on y1.
     """
     pts, h = _mrs_design(sample)
+    y_sd = _column_sds(sample.ys[:, 0])
     derivs = _derivatives_at(sample, pts, h)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.median(derivs[:, :, None] / derivs[:, None, :], axis=0)
@@ -517,7 +528,7 @@ def mrs_estimate(sample: MatchedSample) -> EstimatorResult:
     mad = 1.4826 * np.median(np.abs(spread - spread_med), axis=0)
     # signal must be sign-consistent across spread points and move the
     # response by more than a negligible fraction of its spread per bandwidth
-    floor = 1e-6 * sample.ys[:, 0].std() / h
+    floor = 1e-6 * y_sd / h
     consistent = np.where(mad > 0, np.abs(spread_med) > 2.0 * mad, np.abs(spread_med) > 0)
     stable = consistent & (np.abs(spread_med) > floor)
 

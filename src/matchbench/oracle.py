@@ -281,8 +281,9 @@ def matched_outcome(x1, x2):
     return float(out) if scalar else out
 
 
-# finite ends of each continuous kind's support, where its CDF has a kink
-_SUPPORT_ENDS = {"gaussian": (), "exponential": (0.0,), "uniform01": (0.0, 1.0)}
+# finite ends of each kind's support, where its CDF has a kink; the coin has
+# none to split at, since quad_integrate sums its two atoms exactly
+_SUPPORT_ENDS = {"gaussian": (), "exponential": (0.0,), "uniform01": (0.0, 1.0), "rademacher": ()}
 
 
 def _population_index_tails(spec: MarketSpec, tol: float, stats: QuadratureStats) -> Callable:
@@ -295,20 +296,13 @@ def _population_index_tails(spec: MarketSpec, tol: float, stats: QuadratureStats
         return lambda z: (scaled_cdf(d1, a1, z), scaled_sf(d1, a1, z))
     if a1 == 0.0:
         return lambda z: (scaled_cdf(d2, a2, z), scaled_sf(d2, a2, z))
-    if d1.kind == "rademacher":
-        shifts = [(a1 * v, p) for v, p in d1.atoms()]
-        def mixture(z):
-            z = np.asarray(z, dtype=float)
-            lower = sum(p * scaled_cdf(d2, a2, z - shift) for shift, p in shifts)
-            upper = sum(p * scaled_sf(d2, a2, z - shift) for shift, p in shifts)
-            return lower, upper
-        return mixture
     if d1.kind == "gaussian" and d2.kind == "gaussian":
         index = DistributionModel("gaussian", math.hypot(a1 * d1.param, a2 * d2.param))
         return lambda z: (scaled_cdf(index, 1.0, z), scaled_sf(index, 1.0, z))
-    # generic continuous first attribute: both tails of a2 X2 at z - a1 X1,
-    # averaged over X1 for every z at once in one vector-valued quadrature,
-    # split where a2 X2 meets an end of its support so every piece is smooth
+    # generic first attribute: both tails of a2 X2 at z - a1 X1, averaged
+    # over X1 for every z at once in one vector-valued quadrature (an exact
+    # sum over a coin's two atoms), split where a2 X2 meets an end of its
+    # support so every piece is smooth
     ends = np.array(_SUPPORT_ENDS[d2.kind])
     def convolved(z):
         z = np.asarray(z, dtype=float)
@@ -334,7 +328,7 @@ def population_transfer_map(spec: MarketSpec, tol: float,
     Where F(z) > 1/2 the map is read off the upper tails, as the y-side
     upper-tail quantile of 1 - F(z), which keeps full precision far into
     the tail. ``tol`` and ``stats`` serve the quadrature that a generic
-    continuous first attribute needs for F.
+    first attribute needs for F.
     """
     if spec.dx != 2 or spec.dy != 1:
         raise ValueError("needs dx=2 and dy=1")
@@ -352,25 +346,41 @@ def population_transfer_map(spec: MarketSpec, tol: float,
     return tmap
 
 
+def _mean_over(spec: MarketSpec, fn: Callable, tol: float, stats: QuadratureStats | None) -> float:
+    """E[fn(X1, X2)] over the x attributes of ``spec``, ``fn`` broadcasting
+    over both. The inner integrals over X2 of all outer nodes run as one
+    vector-valued pass, broken where the index density has a kink: where
+    both attributes sit at an end of their supports."""
+    d1, d2 = spec.p_components
+    a1, a2 = float(spec.alpha[0]), float(spec.alpha[1])
+    kinks = np.add.outer(a1 * np.array(_SUPPORT_ENDS[d1.kind]), a2 * np.array(_SUPPORT_ENDS[d2.kind])).ravel()
+
+    def outer(x1_nodes):
+        column = np.reshape(x1_nodes, (-1, 1))
+        breaks = None if a2 == 0.0 else (kinks - a1 * column) / a2
+        return quad_integrate(lambda x2: fn(column, x2), d2, tol, stats, breaks=breaks)
+
+    return quad_integrate(outer, d1, tol, stats)
+
+
 def quadrature_expectations(tol: float, stats: QuadratureStats | None = None) -> dict[str, float]:
     """Numerical counterparts of the exact expectations, same keys, with the
     matched outcome read off the benchmark market's population transfer map."""
     g = _EXP1.cdf
-    tmap = population_transfer_map(counterexample_market(), tol, stats)
+    spec = counterexample_market()
+    a1, a2 = float(spec.alpha[0]), float(spec.alpha[1])
+    tmap = population_transfer_map(spec, tol, stats)
 
     def mean(fn) -> float:
         return quad_integrate(fn, _EXP1, tol, stats)
 
-    # the index is (x1 + z)/sqrt(2) for the coin values x1 = -1 and +1
-    mean_y_low = mean(lambda z: z * tmap(_SQRT1_2 * z - _SQRT1_2))
-    mean_y_high = mean(lambda z: z * tmap(_SQRT1_2 * z + _SQRT1_2))
     return {
         "mean_cdf_shift_plus2": mean(lambda z: g(z + 2.0)),
         "mean_cdf_shift_minus2": mean(lambda z: g(z - 2.0)),
         "mean_x_cdf_shift_minus2": mean(lambda z: z * g(z - 2.0)),
         "mean_x_cdf_shift_plus2": mean(lambda z: z * g(z + 2.0)),
         "mean_x_cdf_shift0": mean(lambda z: z * g(z)),
-        "mean_x_matched_outcome": 0.5 * (mean_y_low + mean_y_high),
+        "mean_x_matched_outcome": _mean_over(spec, lambda x1, x2: x2 * tmap(a1 * x1 + a2 * x2), tol, stats),
     }
 
 
@@ -386,27 +396,9 @@ def numeric_counterexample(spec: MarketSpec, tol: float) -> CounterexampleReport
     tmap = population_transfer_map(spec, tol, stats)
     d1, d2 = spec.p_components
     a1, a2 = float(spec.alpha[0]), float(spec.alpha[1])
-
-    def mean_over(fn) -> float:
-        # fn(x1, x2) -> array broadcast over both; outer over X1, inner over X2
-        if d1.kind == "rademacher":
-            return sum(
-                p * quad_integrate(lambda x2, v=v: fn(v, x2), d2, tol, stats)
-                for v, p in d1.atoms()
-            )
-        # The inner integrals of all outer nodes run as one vector-valued pass,
-        # broken where the index density has a kink: where both attributes
-        # sit at an end of their supports.
-        kinks = np.add.outer(a1 * np.array(_SUPPORT_ENDS[d1.kind]), a2 * np.array(_SUPPORT_ENDS[d2.kind])).ravel()
-        def outer(x1_nodes):
-            column = np.reshape(x1_nodes, (-1, 1))
-            breaks = None if a2 == 0.0 else (kinks - a1 * column) / a2
-            return quad_integrate(lambda x2: fn(column, x2), d2, tol, stats, breaks=breaks)
-        return quad_integrate(outer, d1, tol, stats)
-
-    mean_t = mean_over(lambda x1v, x2: tmap(a1 * x1v + a2 * x2))
-    mean_x1t = mean_over(lambda x1v, x2: x1v * tmap(a1 * x1v + a2 * x2))
-    mean_x2t = mean_over(lambda x1v, x2: x2 * tmap(a1 * x1v + a2 * x2))
+    mean_t = _mean_over(spec, lambda x1, x2: tmap(a1 * x1 + a2 * x2), tol, stats)
+    mean_x1t = _mean_over(spec, lambda x1, x2: x1 * tmap(a1 * x1 + a2 * x2), tol, stats)
+    mean_x2t = _mean_over(spec, lambda x1, x2: x2 * tmap(a1 * x1 + a2 * x2), tol, stats)
     cov_x1 = mean_x1t - d1.mean() * mean_t
     cov_x2 = mean_x2t - d2.mean() * mean_t
     return CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "quadrature", diagnostics=stats)
@@ -437,9 +429,9 @@ def monte_carlo_counterexample(n: int = 1_000_000, seed: int = 0) -> Counterexam
     """Monte Carlo column for the benchmark market, with standard errors.
 
     Evaluates the closed-form transfer map ``matched_outcome`` on independent
-    draws. ``population_transfer_map`` gives the same map, but takes twice as
-    long on 1e6 draws and differs by up to 2.2e-16 in about 29 % of them,
-    which would move the last digits of the report.
+    draws. ``population_transfer_map`` gives the same map, but takes about
+    2.5 times as long on 1e6 draws and differs by up to 2.2e-16 in about 29 %
+    of them, which would move the last digits of the report.
     """
     if n < 2:
         raise ValueError("need n >= 2")

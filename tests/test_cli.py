@@ -432,7 +432,7 @@ class TestEstimate:
         assert rc == 3
         assert "all-zero x weights" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method", ["cca", "ols"])
+    @pytest.mark.parametrize("method", ["cca", "ols", "mrs"])
     def test_overflowing_moments_are_config_error(self, tmp_path, capsys, method):
         cfg = write_config(tmp_path / "cfg.json")
         sample_path = tmp_path / "sample.csv"
@@ -444,6 +444,16 @@ class TestEstimate:
         assert rc == 2
         assert "sample: second moments overflow a float; rescale the columns" in err
         assert not (tmp_path / "o" / f"estimate_{method}.json").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_rejects_non_finite_or_negative_tol(self, tmp_path, capsys, tol):
+        cfg = write_config(tmp_path / "cfg.json", n=100, methods=["cca", "saliency"], affinity=[[0.6], [0.8]])
+        main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        rc = main(["estimate", "--config", str(cfg), "--sample", str(tmp_path / "sample.csv"),
+                   f"--tol={tol}", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_mrs_estimate_is_byte_reproducible(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n=3000, methods=["mrs"])
@@ -644,6 +654,17 @@ class TestSaliencyCommand:
 
     def test_requires_matrix_source(self):
         assert main(["saliency"]) == 2
+
+    @pytest.mark.parametrize("tol, rc", [("nan", 2), ("inf", 2), ("-1", 2), ("0", 0)])
+    def test_tol_must_be_finite_and_nonnegative(self, tmp_path, capsys, tol, rc):
+        path = tmp_path / "A.csv"
+        np.savetxt(path, np.outer([0.6, 0.8], [1.0]), delimiter=",")
+        assert main(["saliency", "--affinity", str(path), f"--tol={tol}", "--out", str(tmp_path / "o")]) == rc
+        if rc == 2:
+            assert "--tol" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+        else:  # 0 asks for the exact rank
+            assert json.loads((tmp_path / "o" / "saliency.json").read_text())["rank"] == 1
 
     def test_overflowing_affinity_is_named(self, tmp_path, capsys):
         # finite entries whose one singular value, 1.7e308 * sqrt(2), is not

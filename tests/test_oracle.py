@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -287,3 +288,66 @@ class TestGenericBranch:
         report = numeric_counterexample(spec, 1e-8)
         assert report.cov_x1 == pytest.approx(covs[0], abs=1e-8)
         assert report.cov_x2 == pytest.approx(covs[1], abs=1e-8)
+
+
+def coin_market(alpha, second, y_side) -> MarketSpec:
+    return MarketSpec(dx=2, dy=1, alpha=alpha, beta=[1.0],
+                      p_components=(rademacher(), second), q_components=(y_side,))
+
+
+# Values recorded before the coin went through the generic branch of
+# _population_index_tails and _mean_over's outer quadrature: averaging over
+# the coin's two atoms there must not move a bit, a panel or a depth.
+# Columns: market, repr(cov_x1) and repr(cov_x2) at tol 1e-6, panels,
+# max_depth, and the sha256 of the transfer map's bytes at tol 1e-9 on
+# np.linspace(-30, 30, 20001).
+COIN_PINS = [
+    (coin_market([-0.6, 0.8], exponential(1.0), gaussian(0.7)),
+     "-0.438656997467759", "0.5164905720065711", 308, 45,
+     "17557237b5764d8f51dcf88953ade4afbda34826d4a52ab785af62196e32fa11"),
+    (coin_market([0.0, 1.0], exponential(2.5), exponential(1.5)),
+     "0.0", "0.26666664000000323", 30, 2,
+     "41ba853e14d31d69b93d39add7e3e8e2abc2efb500f1b8ee8a70dc8f7da34ade"),
+    (coin_market([1.0, 0.0], exponential(1.0), uniform01()),
+     "0.24999999999999942", "-1.1102230246251565e-16", 20, 2,
+     "922459109350eae39075546234af7b5023b86940e92c015e25f666c31021124f"),
+    (coin_market([0.6, 0.8], exponential(2.5), gaussian(0.7)),
+     "0.5454488319795396", "0.15865081662164796", 280, 45,
+     "27c9e017b77f016c970263eb77d38b175437d7109d39a6135c441aa6e0e146ab"),
+    (coin_market([0.8, -0.6], uniform01(), exponential(1.5)),
+     "0.4620981203732955", "-0.10228427302776605", 194, 44,
+     "c990ad69768425011b957739c1041bb5a9182993537f0b3f7808b146f9621b8f"),
+    (coin_market([math.sqrt(0.5), math.sqrt(0.5)], gaussian(1.3), uniform01()),
+     "0.18083539397260945", "0.28482969433053135", 42, 2,
+     "fb650dca85596311bb36ad1359d090bea92d31f1783b648737781249d77977e2"),
+]
+COIN_IDS = ["a1<0", "a1=0", "a2=0", "exp2.5", "uniform", "gaussian1.3"]
+
+
+class TestCoinPath:
+    @pytest.mark.parametrize("spec, cov_x1, cov_x2, panels, max_depth, _", COIN_PINS, ids=COIN_IDS)
+    def test_numeric_counterexample_is_pinned(self, spec, cov_x1, cov_x2, panels, max_depth, _):
+        report = numeric_counterexample(spec, 1e-6)
+        assert (repr(report.cov_x1), repr(report.cov_x2)) == (cov_x1, cov_x2)
+        assert (report.diagnostics.panels, report.diagnostics.max_depth) == (panels, max_depth)
+
+    @pytest.mark.parametrize("spec, sha256", [(row[0], row[-1]) for row in COIN_PINS], ids=COIN_IDS)
+    def test_transfer_map_is_pinned(self, spec, sha256):
+        stats = QuadratureStats()
+        values = population_transfer_map(spec, 1e-9, stats)(np.linspace(-30.0, 30.0, 20001))
+        assert hashlib.sha256(values.tobytes()).hexdigest() == sha256
+        # the coin's atoms are summed, never split into panels
+        assert stats.panels == 0
+
+    def test_benchmark_expectation_terms_are_pinned(self):
+        stats = QuadratureStats()
+        terms = quadrature_expectations(1e-9, stats)
+        assert {key: repr(value) for key, value in terms.items()} == {
+            "mean_cdf_shift_plus2": "0.9323323583816909",
+            "mean_cdf_shift_minus2": "0.06766764161830616",
+            "mean_x_cdf_shift_minus2": "0.23683674566407126",
+            "mean_x_cdf_shift_plus2": "0.9661661791908437",
+            "mean_x_cdf_shift0": "0.7499999999999976",
+            "mean_x_matched_outcome": "0.6757507312137275",
+        }
+        assert (stats.panels, stats.max_depth) == (183, 25)
