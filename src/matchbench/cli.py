@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -397,7 +398,10 @@ def cmd_saliency(args) -> int:
     _rank_tol(args.tol)
     if args.affinity:
         try:
-            matrix = np.loadtxt(args.affinity, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # an empty matrix is refused by name in svd_decompose
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                matrix = np.loadtxt(args.affinity, delimiter=",", ndmin=2)
         except OSError as exc:
             raise ConfigError(f"cannot read affinity matrix {args.affinity}: {exc}") from exc
         except ValueError as exc:

@@ -185,14 +185,6 @@ def ols_index(sample: MatchedSample) -> EstimatorResult:
     )
 
 
-def _index_pair(sample: MatchedSample, alpha, beta) -> tuple[np.ndarray, np.ndarray]:
-    u = sample.x_index(alpha)
-    v = sample.y_index(beta)
-    if np.var(u) == 0.0 or np.var(v) == 0.0:
-        raise DegenerateIndexError("index series is constant")
-    return u, v
-
-
 # An average rank or a dominance count is a multiple of 1/2 in [0, n], so
 # four times a product of two is an integer of at most 4n^2. A float64 dot
 # over c such terms is then exact in any summation order while
@@ -221,7 +213,10 @@ def _rank_product_mean(rank_u: np.ndarray, rank_v: np.ndarray) -> float:
 
 def spearman_objective(sample: MatchedSample, alpha, beta) -> float:
     """Mean product of the two index rank transforms (r/(n+1) convention)."""
-    u, v = _index_pair(sample, alpha, beta)
+    u = sample.x_index(alpha)
+    v = sample.y_index(beta)
+    if np.var(u) == 0.0 or np.var(v) == 0.0:
+        raise DegenerateIndexError("index series is constant")
     return _rank_product_mean(average_ranks(u), average_ranks(v))
 
 
@@ -243,8 +238,6 @@ def spearman_objective_prob_form(sample: MatchedSample, alpha, beta) -> float:
 
 
 def _unit_from_angles(theta: np.ndarray, d: int) -> np.ndarray:
-    if d == 1:
-        return np.array([1.0])
     w = np.ones(d)
     for i in range(d - 1):
         c, s = math.cos(theta[i]), math.sin(theta[i])
@@ -262,20 +255,13 @@ _COARSE_CIRCLE = np.arange(512) * _COARSE_STEP
 _FINE_STEP = 1e-3
 
 
-class _RankEvaluator:
-    """Average ranks of a projected index, with 1-D sides precomputed."""
-
-    def __init__(self, columns: np.ndarray):
-        self.columns = columns
-        self.d = columns.shape[1]
-        self.n = columns.shape[0]
-        self._single = average_ranks(columns[:, 0]) if self.d == 1 else None
-
-    def ranks(self, w: np.ndarray) -> np.ndarray:
-        if self.d == 1:
-            # ranks reverse exactly under negation, ties included
-            return self._single if w[0] > 0 else (self.n + 1) - self._single
-        return average_ranks(self.columns @ w)
+def _ranker(columns: np.ndarray):
+    """w -> average ranks of columns @ w; a one-column side is ranked once."""
+    if columns.shape[1] > 1:
+        return lambda w: average_ranks(columns @ w)
+    single = average_ranks(columns[:, 0])
+    # ranks reverse exactly under negation, ties included
+    return lambda w: single if w[0] > 0 else (columns.shape[0] + 1) - single
 
 
 def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) -> EstimatorResult:
@@ -287,12 +273,12 @@ def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) 
     circle (dx=2, dy=1): 512 coarse angles, of which only the first half is
     ranked since the antipodal half follows exactly from reversed ranks,
     then a 1e-3 fine grid around the best three. The objective need
-    not be concave, so all local optima found are kept in the diagnostics;
-    candidates are merged by strictly-better objective, which resolves ties
-    by restart order.
+    not be concave, so all local optima found are kept in the diagnostics.
+    The argmax is the first candidate with the largest objective, so ties
+    go to the earlier restart, and restarts come before grid points.
     """
-    xev = _RankEvaluator(sample.xs)
-    yev = _RankEvaluator(sample.ys)
+    x_ranks = _ranker(sample.xs)
+    y_ranks = _ranker(sample.ys)
     n = sample.n
     # the one rounding of _rank_product_mean
     scale = 4 * n * (n + 1) * (n + 1)
@@ -301,23 +287,20 @@ def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) 
     def dot4(alpha: np.ndarray, beta: np.ndarray) -> int:
         nonlocal evaluations
         evaluations += 1
-        return _exact_dot4(xev.ranks(alpha), yev.ranks(beta))
+        return _exact_dot4(x_ranks(alpha), y_ranks(beta))
 
     def value(alpha: np.ndarray, beta: np.ndarray) -> float:
         return dot4(alpha, beta) / scale
 
     ax = sample.dx - 1
     ay = sample.dy - 1
-    candidates: list[tuple[float, np.ndarray, np.ndarray]] = []
     local_optima: list[dict] = []
 
     if ax + ay == 0:
         for sign in (1.0, -1.0):
             alpha = np.array([1.0])
             beta = np.array([sign])
-            obj = value(alpha, beta)
-            candidates.append((obj, alpha, beta))
-            local_optima.append({"objective": obj, "alpha": alpha, "beta": beta, "source": "sign"})
+            local_optima.append({"objective": value(alpha, beta), "alpha": alpha, "beta": beta, "source": "sign"})
     else:
         def unpack(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return (
@@ -339,13 +322,12 @@ def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) 
                 options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": 400 * (ax + ay)},
             )
             alpha, beta = unpack(res.x)
-            obj = -float(res.fun)
-            candidates.append((obj, alpha, beta))
             local_optima.append({
-                "objective": obj, "alpha": alpha, "beta": beta, "source": f"restart {r}",
+                "objective": -float(res.fun), "alpha": alpha, "beta": beta, "source": f"restart {r}",
                 "nfev": int(res.nfev), "nit": int(res.nit), "success": bool(res.success),
             })
 
+    candidates = [(o["objective"], o["alpha"], o["beta"]) for o in local_optima]
     grid_info = None
     if sample.dx == 2 and sample.dy == 1:
         beta_grid = np.array([1.0])
@@ -369,8 +351,7 @@ def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) 
             fine_evals += fine.size
             for t in fine:
                 alpha = _unit_from_angles(np.array([t]), 2)
-                obj = value(alpha, beta_grid)
-                candidates.append((obj, alpha, beta_grid))
+                candidates.append((value(alpha, beta_grid), alpha, beta_grid))
         grid_info = {
             "coarse_points": _COARSE_CIRCLE.size,
             "mirrored_points": m,
@@ -379,13 +360,9 @@ def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) 
             "refined_centers": picked,
         }
 
-    best_obj = -math.inf
-    best_alpha = best_beta = None
-    for obj, alpha, beta in candidates:
-        if obj > best_obj:
-            best_obj, best_alpha, best_beta = obj, alpha, beta
-    if best_alpha is None:
+    if not candidates:
         raise ValueError("no search candidates; need restarts >= 1 for this shape")
+    best_obj, best_alpha, best_beta = max(candidates, key=lambda c: c[0])
 
     return EstimatorResult(
         alpha_hat=normalize_weights(best_alpha),

@@ -59,12 +59,14 @@ def svd_decompose(A, rank_tol: float = 1e-8) -> AffinityDecomposition:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("affinity matrix must be 2-D")
+    if A.size == 0:
+        raise ValueError(f"affinity matrix has no entries (shape {A.shape})")
     if not np.all(np.isfinite(A)):
         raise ValueError("affinity matrix must have finite entries")
     dx, dy = A.shape
     d = min(dx, dy)
     u, s, vt = np.linalg.svd(A)
-    if s.size and not np.isfinite(s[0]):
+    if not np.isfinite(s[0]):
         raise ValueError(f"affinity matrix: its largest singular value overflows a float ({s[0]}); rescale it")
     U = u.T.copy()
     V = vt.copy()
@@ -83,7 +85,7 @@ def svd_decompose(A, rank_tol: float = 1e-8) -> AffinityDecomposition:
     # where the sum overflows, take the same fractions relative to the largest value
     scaled, total = (s / s[0], (s / s[0]).sum()) if np.isinf(total) else (s, total)
     shares = scaled / total if total > 0 else np.zeros_like(s)
-    rank = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.sum(s > rank_tol * s[0])) if s[0] > 0 else 0
     return AffinityDecomposition(U=U, V=V, lambdas=s, shares=shares, numerical_rank=rank)
 
 

@@ -675,18 +675,31 @@ class TestSaliencyCommand:
         assert "affinity" in err
         assert not (tmp_path / "o" / "saliency.json").exists()
 
-    @pytest.mark.parametrize("source, shown", [
-        (["--affinity", "missing.csv"], "cannot read affinity matrix"),
-        (["--affinity", "text.csv"], "text.csv: not a dense numeric CSV"),
-        (["--config", "cfg.json"], "affinity: config has no inline affinity matrix"),
-    ], ids=["missing-csv", "text-csv", "config-without-affinity"])
-    def test_unusable_matrix_source_is_named(self, tmp_path, capsys, source, shown):
+    @pytest.mark.parametrize("command, source, shown", [
+        ("saliency", ["--affinity", "missing.csv"], "cannot read affinity matrix"),
+        ("saliency", ["--affinity", "text.csv"], "text.csv: not a dense numeric CSV"),
+        ("saliency", ["--config", "cfg.json"], "affinity: config has no inline affinity matrix"),
+        ("saliency", ["--affinity", "empty.csv"], "affinity matrix has no entries"),
+        ("saliency", ["--affinity", "comments.csv"], "affinity matrix has no entries"),
+        ("saliency", ["--config", "one-empty-row.json"], "affinity matrix has no entries"),
+        ("saliency", ["--config", "two-empty-rows.json"], "affinity matrix has no entries"),
+        ("estimate", ["--config", "one-empty-row.json"], "affinity matrix has no entries"),
+    ], ids=["missing-csv", "text-csv", "config-without-affinity", "empty-csv", "comment-only-csv",
+            "config-one-empty-row", "config-two-empty-rows", "estimate-one-empty-row"])
+    def test_unusable_matrix_source_is_named(self, tmp_path, capsys, command, source, shown):
         (tmp_path / "text.csv").write_text("1,a\n2,b\n")
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "comments.csv").write_text("# no rows\n")
+        (tmp_path / "sample.csv").write_text("x1,x2,y1\n1,0.5,0.25\n-1,2.0,0.5\n1,1.0,0.75\n")
         write_config(tmp_path / "cfg.json")
-        rc = main(["saliency", source[0], str(tmp_path / source[1]), "--out", str(tmp_path / "o")])
+        write_config(tmp_path / "one-empty-row.json", methods=["saliency"], affinity=[[]])
+        write_config(tmp_path / "two-empty-rows.json", methods=["saliency"], affinity=[[], []])
+        sample = ["--sample", str(tmp_path / "sample.csv")] if command == "estimate" else []
+        # pytest turns warnings into errors here, so numpy's empty-input warning fails the row
+        rc = main([command, source[0], str(tmp_path / source[1]), *sample, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert shown in capsys.readouterr().err
-        assert not (tmp_path / "o" / "saliency.json").exists()
+        assert not list((tmp_path / "o").glob("*"))
 
 
 class TestEntryPoint:
