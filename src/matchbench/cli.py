@@ -226,6 +226,12 @@ def _saliency_payload(matrix, rank_tol: float) -> dict:
 def cmd_estimate(args) -> int:
     _rank_tol(args.tol)
     config = _apply_overrides(load_config(args.config), args)
+    if "saliency" in config.methods:
+        if config.affinity is None:
+            raise ConfigError("affinity: methods include 'saliency' but no affinity matrix is configured")
+        # an affinity the SVD refuses stops the command before any file is written
+        saliency = {"method": "saliency", "alpha": None, "beta": None,
+                    **_saliency_payload(config.affinity, args.tol)}
     sample = MatchedSample.from_csv(args.sample)
     if sample.dx != config.market.dx or sample.dy != config.market.dy:
         raise ConfigError(
@@ -236,10 +242,7 @@ def cmd_estimate(args) -> int:
     for method in config.methods:
         started = time.perf_counter()
         if method == "saliency":
-            if config.affinity is None:
-                raise ConfigError("affinity: methods include 'saliency' but no affinity matrix is configured")
-            payload = {"method": "saliency", "alpha": None, "beta": None,
-                       **_saliency_payload(config.affinity, args.tol)}
+            payload = saliency
         else:
             payload = ESTIMATORS[method](sample, config, _derived_seed(config.seed, 1)).to_json_dict()
         elapsed = time.perf_counter() - started

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .distributions import average_ranks, seed_streams
 from .errors import DegenerateIndexError, NumericalError
@@ -277,6 +276,10 @@ def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) 
     The argmax is the first candidate with the largest objective, so ties
     go to the earlier restart, and restarts come before grid points.
     """
+    # imported here, so that only a Nelder-Mead search pays for loading
+    # scipy.optimize: no other estimator or command uses it
+    from scipy.optimize import minimize
+
     x_ranks = _ranker(sample.xs)
     y_ranks = _ranker(sample.ys)
     n = sample.n
@@ -384,8 +387,10 @@ def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) 
 def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
     """term(lo) + ... + term(hi - 1), added in the order np.sum adds a
     contiguous axis: in sequence below 8 terms, else numpy's pairwise
-    summation (8 interleaved partial sums, halved above 128 terms). Each
-    term is a fresh array that the sum may overwrite."""
+    summation (8 interleaved partial sums, halved above 128 terms). The sum
+    may overwrite any term and builds up in term(lo)'s array, which it
+    returns. Below 8 terms each later term is added in before the next is
+    formed, so those terms may share one array."""
     count = hi - lo
     if count > 128:
         half = count // 2 - count // 2 % 8
@@ -426,13 +431,23 @@ def kernel_regression(sample: MatchedSample, points, bandwidths) -> np.ndarray:
     if h.shape != (dx,) or not np.all(np.isfinite(h) & (h > 0)):
         raise NumericalError(f"bandwidth degenerate: need {dx} finite positive bandwidths, got {h.tolist()}")
     out = np.empty(pts.shape[0])
-    # the block shape sets the BLAS and row-sum rounding: keep it fixed
+    # The block shape sets the rounding of the BLAS product and the row
+    # sums, so it stays fixed: a smaller block changes the output bits.
     chunk = max(1, int(2e6 // max(1, n)))
+    # Every block is written into the same two buffers, so a block's weights
+    # are gone once the next block is formed. The sum of squares builds up
+    # in ``total``, which holds the first term; below 8 terms numpy adds in
+    # sequence, so each later term is formed in ``spare`` and added straight
+    # in. From 8 terms on its pairwise order keeps partial sums, in fresh arrays.
+    total = np.empty((min(chunk, pts.shape[0]), n))
+    spare = np.empty_like(total) if 1 < dx < 8 else None
     for start in range(0, pts.shape[0], chunk):
         block = pts[start : start + chunk]
+        rows = block.shape[0]
 
         def scaled_square(j):
-            z = np.subtract(block[:, j, None], cols[j])
+            buffer = total if j == 0 else spare
+            z = np.subtract(block[:, j, None], cols[j], out=None if buffer is None else buffer[:rows])
             z /= h[j]
             z *= z
             return z

@@ -13,6 +13,7 @@ import itertools
 import math
 import numbers
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,7 +240,15 @@ class MatchedSample:
     @staticmethod
     def from_csv(path) -> "MatchedSample":
         """Read a sample written by ``to_csv``; a malformed file raises a
-        ValueError naming its line."""
+        ValueError naming its line.
+
+        After the header, ``np.loadtxt`` parses the rows straight into one
+        array. That array is kept only when it has rows, one column per
+        header name and finite entries; every value it then holds is the
+        one ``float`` gives for the same field, bit for bit. Any other
+        outcome reads the rows again in a Python loop, which is the only
+        source of errors, so every message names its line.
+        """
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -249,21 +258,39 @@ class MatchedSample:
             dy = len(header) - dx
             if dx < 1 or dy < 1 or header != [f"x{j + 1}" for j in range(dx)] + [f"y{j + 1}" for j in range(dy)]:
                 raise ValueError(f"unexpected sample header {header!r}")
-            rows = []
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    values = [float(v) for v in row]
-                except ValueError:
-                    values = []
-                if len(values) != dx + dy or not all(map(math.isfinite, values)):
-                    raise ValueError(f"{path} line {reader.line_num}: expected {dx + dy} finite numbers, got {row!r}")
-                rows.append(values)
-        if not rows:
-            raise ValueError(f"{path}: sample file has no rows")
-        data = np.asarray(rows, dtype=float)
+            try:
+                with warnings.catch_warnings():
+                    # a file without rows is named by the row loop
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                data = np.empty((0, 0))
+            if not (data.shape[0] and data.shape[1] == dx + dy and np.isfinite(data).all()):
+                data = _read_rows(path, fh, dx + dy)
         return MatchedSample(xs=data[:, :dx], ys=data[:, dx:])
+
+
+def _read_rows(path, fh, width: int) -> np.ndarray:
+    """The rows after the header of the open sample file ``fh``, parsed one
+    field at a time with ``float``; the first bad row raises a ValueError
+    naming its line."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            values = [float(v) for v in row]
+        except ValueError:
+            values = []
+        if len(values) != width or not all(map(math.isfinite, values)):
+            raise ValueError(f"{path} line {reader.line_num}: expected {width} finite numbers, got {row!r}")
+        rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: sample file has no rows")
+    return np.asarray(rows, dtype=float)
 
 
 def _draw_side(components, cov, dim, n, streams) -> np.ndarray:

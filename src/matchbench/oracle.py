@@ -301,8 +301,8 @@ def _population_index_tails(spec: MarketSpec, tol: float, stats: QuadratureStats
         return lambda z: (scaled_cdf(index, 1.0, z), scaled_sf(index, 1.0, z))
     # generic first attribute: both tails of a2 X2 at z - a1 X1, averaged
     # over X1 for every z at once in one vector-valued quadrature (an exact
-    # sum over a coin's two atoms), split where a2 X2 meets an end of its
-    # support so every piece is smooth
+    # sum over a coin's two atoms, which needs no breaks), split where a2 X2
+    # meets an end of its support so every piece is smooth
     ends = np.array(_SUPPORT_ENDS[d2.kind])
     def convolved(z):
         z = np.asarray(z, dtype=float)
@@ -310,7 +310,8 @@ def _population_index_tails(spec: MarketSpec, tol: float, stats: QuadratureStats
         def tails(x1):
             t = column - a1 * x1
             return np.stack([scaled_cdf(d2, a2, t), scaled_sf(d2, a2, t)])
-        lower, upper = quad_integrate(tails, d1, tol / 10.0, stats, breaks=(column - a2 * ends) / a1)
+        breaks = None if d1.kind == "rademacher" else (column - a2 * ends) / a1
+        lower, upper = quad_integrate(tails, d1, tol / 10.0, stats, breaks=breaks)
         return lower.reshape(z.shape), upper.reshape(z.shape)
     return convolved
 

@@ -684,8 +684,12 @@ class TestSaliencyCommand:
         ("saliency", ["--config", "one-empty-row.json"], "affinity matrix has no entries"),
         ("saliency", ["--config", "two-empty-rows.json"], "affinity matrix has no entries"),
         ("estimate", ["--config", "one-empty-row.json"], "affinity matrix has no entries"),
+        ("estimate", ["--config", "cca-then-empty-row.json"], "affinity matrix has no entries"),
+        ("estimate", ["--config", "cca-then-no-affinity.json"],
+         "affinity: methods include 'saliency' but no affinity matrix is configured"),
     ], ids=["missing-csv", "text-csv", "config-without-affinity", "empty-csv", "comment-only-csv",
-            "config-one-empty-row", "config-two-empty-rows", "estimate-one-empty-row"])
+            "config-one-empty-row", "config-two-empty-rows", "estimate-one-empty-row",
+            "estimate-cca-then-empty-row", "estimate-cca-then-no-affinity"])
     def test_unusable_matrix_source_is_named(self, tmp_path, capsys, command, source, shown):
         (tmp_path / "text.csv").write_text("1,a\n2,b\n")
         (tmp_path / "empty.csv").write_text("")
@@ -694,6 +698,9 @@ class TestSaliencyCommand:
         write_config(tmp_path / "cfg.json")
         write_config(tmp_path / "one-empty-row.json", methods=["saliency"], affinity=[[]])
         write_config(tmp_path / "two-empty-rows.json", methods=["saliency"], affinity=[[], []])
+        # an earlier method must not write its report before the affinity is refused
+        write_config(tmp_path / "cca-then-empty-row.json", methods=["cca", "saliency"], affinity=[[]])
+        write_config(tmp_path / "cca-then-no-affinity.json", methods=["cca", "saliency"])
         sample = ["--sample", str(tmp_path / "sample.csv")] if command == "estimate" else []
         # pytest turns warnings into errors here, so numpy's empty-input warning fails the row
         rc = main([command, source[0], str(tmp_path / source[1]), *sample, "--out", str(tmp_path / "o")])
@@ -715,6 +722,18 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "sample.csv").exists()
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # only the Nelder-Mead search loads it, so the other commands start without it
+        src = str(Path(matchbench.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, matchbench.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith('scipy.optimize')))"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("command", [["estimate", "--sample", "x.csv"], ["benchmark"]],
                              ids=["estimate", "benchmark"])

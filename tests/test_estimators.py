@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +351,21 @@ class TestKernelRegression:
         h = 3.0 * sample.xs.std(axis=0)
         expected = broadcast_kernel_regression(sample, points, h)
         assert np.array_equal(kernel_regression(sample, points, h), expected)
+
+    def test_two_blocks_live_at_a_time(self, rng):
+        # the mrs fit at n = 1e5: 400 points in blocks of 20 rows
+        n, chunk = 100_000, 20
+        sample = random_sample(rng, n=n, dx=2, dy=1)
+        points = rng.normal(size=(400, 2))
+        h = 1.06 * sample.xs.std(axis=0) * n ** -0.2
+        tracemalloc.start()
+        try:
+            kernel_regression(sample, points, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # keeping the previous block's weights while forming the next took 3.1 blocks
+        assert peak <= 2.3 * chunk * n * 8
 
     @pytest.mark.parametrize("count", [1, 7, 8, 9, 16, 23, 128, 129, 130, 300])
     def test_pairwise_sum_adds_in_numpy_order(self, rng, count):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,7 +313,65 @@ class TestAssignmentOracle:
             assignment_oracle(xs, xs, spec)
 
 
+# What from_csv gives for each file: its rows as (x1, y1), or the error it
+# raises with "{path}" for the file's path. loadtxt reads some of these files
+# and refuses others, which the row loop then reads; either way the outcome,
+# the values' bits and the line an error names are the same.
+READER_TABLE = [
+    ("blank_line", "x1,y1\n1,2\n\n3,4\n", [[1, 2], [3, 4]]),
+    ("whitespace_line", "x1,y1\n1,2\n \t\n3,4\n", "{path} line 3: expected 2 finite numbers, got [' \\t']"),
+    ("hash_line", "x1,y1\n# note\n1,2\n", "{path} line 2: expected 2 finite numbers, got ['# note']"),
+    ("trailing_hash", "x1,y1\n1,2 # note\n", "{path} line 2: expected 2 finite numbers, got ['1', '2 # note']"),
+    ("quoted_field", 'x1,y1\n"1",2\n', [[1, 2]]),
+    ("underscore", "x1,y1\n1_0,2\n", [[10, 2]]),
+    ("padded", "x1,y1\n 1 , 2\n", [[1, 2]]),
+    ("tab", "x1,y1\n\t1,2\t\n", [[1, 2]]),
+    ("non_breaking_space", "x1,y1\n\u00a01,2\n", [[1, 2]]),
+    ("nan", "x1,y1\n1,2\nnan,4\n", "{path} line 3: expected 2 finite numbers, got ['nan', '4']"),
+    ("overflow", "x1,y1\n1e400,2\n", "{path} line 2: expected 2 finite numbers, got ['1e400', '2']"),
+    ("hex", "x1,y1\n0x10,2\n", "{path} line 2: expected 2 finite numbers, got ['0x10', '2']"),
+    ("complex", "x1,y1\n1j,2\n", "{path} line 2: expected 2 finite numbers, got ['1j', '2']"),
+    ("fortran_exponent", "x1,y1\n1d2,2\n", "{path} line 2: expected 2 finite numbers, got ['1d2', '2']"),
+    ("trailing_comma", "x1,y1\n1,2,\n", "{path} line 2: expected 2 finite numbers, got ['1', '2', '']"),
+    ("short_row", "x1,y1\n1,2\n3\n", "{path} line 3: expected 2 finite numbers, got ['3']"),
+    ("semicolon", "x1,y1\n1;2\n", "{path} line 2: expected 2 finite numbers, got ['1;2']"),
+    ("lf", "x1,y1\n1,2\n3,4\n", [[1, 2], [3, 4]]),
+    ("cr_only", "x1,y1\r1,2\r3,4\r", [[1, 2], [3, 4]]),
+    ("header_only", "x1,y1\r\n", "{path}: sample file has no rows"),
+    ("bom_header", "\ufeffx1,y1\n1,2\n", "unexpected sample header ['\\ufeffx1', 'y1']"),
+    ("arabic_indic_digit", "x1,y1\n\u0661,2\n", [[1, 2]]),
+    ("extremes", "x1,y1\n5e-324,-0.0\n1.7976931348623157e308,0\n", [[5e-324, -0.0], [1.7976931348623157e308, 0.0]]),
+]
+
+
 class TestCsvRoundTrip:
+    @pytest.mark.parametrize("text, expected", [case[1:] for case in READER_TABLE],
+                             ids=[case[0] for case in READER_TABLE])
+    def test_reader_outcome_pinned(self, tmp_path, text, expected):
+        path = tmp_path / "sample.csv"
+        path.write_bytes(text.encode())
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as exc:
+                MatchedSample.from_csv(path)
+            assert str(exc.value) == expected.format(path=path)
+        else:
+            sample = MatchedSample.from_csv(path)
+            assert np.hstack([sample.xs, sample.ys]).tobytes() == np.array(expected, dtype=float).tobytes()
+
+    def test_reading_peaks_near_the_array_size(self, tmp_path):
+        n = 100_000
+        path = tmp_path / "sample.csv"
+        simulate_market(counterexample_market(), n, seed=17).to_csv(path)
+        tracemalloc.start()
+        try:
+            sample = MatchedSample.from_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.n == n
+        # a list of Python floats per row took 9.3 times the array
+        assert peak <= 2 * n * 3 * 8
+
     def test_values_and_bytes(self, tmp_path):
         spec = counterexample_market()
         sample = simulate_market(spec, 200, seed=13)
@@ -339,3 +398,6 @@ class TestCsvRoundTrip:
         for xr, yr in zip(sample.xs, sample.ys):
             writer.writerow([format(v, ".17g") for v in xr] + [format(v, ".17g") for v in yr])
         assert path.read_bytes() == reference.getvalue().encode()
+        again = MatchedSample.from_csv(path)
+        assert again.xs.tobytes() == sample.xs.tobytes()
+        assert again.ys.tobytes() == sample.ys.tobytes()
