@@ -56,8 +56,6 @@ ESTIMATORS = {
 DATA_METHODS = tuple(ESTIMATORS)
 ALL_METHODS = DATA_METHODS + ("saliency",)
 
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
-
 
 def _count(key: str, value, minimum: int) -> None:
     """Raise unless ``value`` is an integer >= ``minimum`` (not a bool, float or string)."""
@@ -257,7 +255,7 @@ def _gaussian_comparison_market() -> MarketSpec:
     return MarketSpec(
         dx=2,
         dy=1,
-        alpha=np.array([_SQRT1_2, _SQRT1_2]),
+        alpha=counterexample_market().alpha,
         beta=np.array([1.0]),
         p_components=(gaussian(1.0), gaussian(1.0)),
         q_components=(gaussian(1.0),),

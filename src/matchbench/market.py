@@ -247,9 +247,11 @@ class MatchedSample:
         header name and finite entries; every value it then holds is the
         one ``float`` gives for the same field, bit for bit. Any other
         outcome reads the rows again in a Python loop, which is the only
-        source of errors, so every message names its line.
+        source of errors, so every message names its line. The file is read
+        as UTF-8, each byte that is not UTF-8 kept as an escape, so the row
+        loop names the first such line too.
         """
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -286,6 +288,9 @@ def _read_rows(path, fh, width: int) -> np.ndarray:
         except ValueError:
             values = []
         if len(values) != width or not all(map(math.isfinite, values)):
+            escaped = [c for field in row for c in field if "\udc80" <= c <= "\udcff"]
+            if escaped:
+                raise ValueError(f"{path} line {reader.line_num}: byte {ord(escaped[0]) - 0xDC00:#04x} is not UTF-8 text")
             raise ValueError(f"{path} line {reader.line_num}: expected {width} finite numbers, got {row!r}")
         rows.append(values)
     if not rows:

@@ -25,8 +25,8 @@ from .distributions import (
 from .errors import NumericalError, QuadratureConvergenceError
 from .market import MarketSpec, counterexample_market, simulate_market
 
-_EXP1 = exponential(1.0)
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
+# G, the CDF of the benchmark market's second x attribute X2 ~ Exp(1)
+_G = exponential(1.0).cdf
 
 # G7/K15 node-weight table (Gauss weight is zero on Kronrod-only nodes).
 _GK_TABLE = (
@@ -215,42 +215,40 @@ class CounterexampleReport:
         return obj
 
 
+_E2 = math.exp(-2.0)
+
+# The benchmark's named expectation terms E[G(X2+s)], E[X2 G(X2+s)] and
+# E[X2 Yhat] over X2 ~ Exp(1), G its own CDF and Yhat the matched outcome.
+# A row is the key, the integrand over X2, the exact value and its symbolic
+# form; the matched outcome has no integrand, since each route integrates it
+# its own way.
+_TERMS = (
+    ("mean_cdf_shift_plus2", lambda z: _G(z + 2.0), 1.0 - _E2 / 2.0, "1-e^-2/2"),
+    ("mean_cdf_shift_minus2", lambda z: _G(z - 2.0), _E2 / 2.0, "e^-2/2"),
+    ("mean_x_cdf_shift_minus2", lambda z: z * _G(z - 2.0), 7.0 * _E2 / 4.0, "7e^-2/4"),
+    ("mean_x_cdf_shift_plus2", lambda z: z * _G(z + 2.0), 1.0 - _E2 / 4.0, "1-e^-2/4"),
+    ("mean_x_cdf_shift0", lambda z: z * _G(z), 3.0 / 4.0, "3/4"),
+    ("mean_x_matched_outcome", None, (3.0 * _E2 + 5.0) / 8.0, "(3e^-2+5)/8"),
+)
+
 _SYMBOLIC = {
     "cov_x1": "(1-e^-2)/4",
     "cov_x2": "(3e^-2+1)/8",
     "ratio_cca": "(3+e^2)/(2e^2-2)",
     "ratio_true": "1",
-    "mean_cdf_shift_plus2": "1-e^-2/2",
-    "mean_cdf_shift_minus2": "e^-2/2",
-    "mean_x_cdf_shift_minus2": "7e^-2/4",
-    "mean_x_cdf_shift_plus2": "1-e^-2/4",
-    "mean_x_cdf_shift0": "3/4",
-    "mean_x_matched_outcome": "(3e^-2+5)/8",
+    **{key: form for key, _, _, form in _TERMS},
 }
 
 
 def counterexample_expectations() -> dict[str, float]:
-    """Exact expectations under X ~ Exp(1) with G its own CDF.
-
-    Keys: mean_cdf_shift_s is E[G(X+s)], mean_x_cdf_shift_s is E[X G(X+s)],
-    and mean_x_matched_outcome is E[X Yhat] with Yhat the matched outcome.
-    """
-    e2 = math.exp(-2.0)
-    return {
-        "mean_cdf_shift_plus2": 1.0 - e2 / 2.0,
-        "mean_cdf_shift_minus2": e2 / 2.0,
-        "mean_x_cdf_shift_minus2": 7.0 * e2 / 4.0,
-        "mean_x_cdf_shift_plus2": 1.0 - e2 / 4.0,
-        "mean_x_cdf_shift0": 3.0 / 4.0,
-        "mean_x_matched_outcome": (3.0 * e2 + 5.0) / 8.0,
-    }
+    """Exact values of the benchmark's named expectation terms (``_TERMS``)."""
+    return {key: exact for key, _, exact, _ in _TERMS}
 
 
 def closed_form_counterexample() -> CounterexampleReport:
-    e2 = math.exp(-2.0)
     return CounterexampleReport(
-        cov_x1=(1.0 - e2) / 4.0,
-        cov_x2=(3.0 * e2 + 1.0) / 8.0,
+        cov_x1=(1.0 - _E2) / 4.0,
+        cov_x2=(3.0 * _E2 + 1.0) / 8.0,
         ratio_cca=(3.0 + math.exp(2.0)) / (2.0 * math.exp(2.0) - 2.0),
         ratio_true=1.0,
         expectation_terms=counterexample_expectations(),
@@ -274,9 +272,9 @@ def matched_outcome(x1, x2):
         raise ValueError("first attribute must be -1 or +1")
     if np.any(x2 < 0.0):
         raise ValueError("second attribute must be nonnegative")
-    g0 = _EXP1.cdf(x2)
-    low = 0.5 * (g0 + _EXP1.cdf(x2 - 2.0))
-    high = 0.5 * (_EXP1.cdf(x2 + 2.0) + g0)
+    g0 = _G(x2)
+    low = 0.5 * (g0 + _G(x2 - 2.0))
+    high = 0.5 * (_G(x2 + 2.0) + g0)
     out = np.where(x1 < 0.0, low, high)
     return float(out) if scalar else out
 
@@ -318,6 +316,9 @@ def _population_index_tails(spec: MarketSpec, tol: float, stats: QuadratureStats
 
 # smallest positive double: keeps both tail probabilities inside (0, 1)
 _P_MIN = 5e-324
+# least interquartile range of a2 X2, relative to |a1|, that keeps a coin
+# market's x index far enough from atomic for the quadrature
+_NEAR_ATOMIC = 1e-5
 
 
 def population_transfer_map(spec: MarketSpec, tol: float,
@@ -330,18 +331,27 @@ def population_transfer_map(spec: MarketSpec, tol: float,
     upper-tail quantile of 1 - F(z), which keeps full precision far into
     the tail. ``tol`` and ``stats`` serve the quadrature that a generic
     first attribute needs for F. An x index that is the coin alone (a zero
-    second weight) has atoms, where F jumps and no map T exists; that
-    market is refused with a ``ValueError`` naming ``alpha``.
+    second weight) has atoms, where F jumps and no map T exists. One that is
+    nearly so, where a2 X2 has an interquartile range under 1e-5 of |a1|,
+    makes the quadrature slow or wrong. Both markets are refused with a
+    ``ValueError`` naming ``alpha``, before any quadrature runs.
     """
     if spec.dx != 2 or spec.dy != 1:
         raise ValueError("needs dx=2 and dy=1")
     if spec.p_components is None or spec.q_components is None:
         raise ValueError("needs independent components on both sides")
-    if not spec.p_components[1].is_continuous:
+    d1, d2 = spec.p_components
+    if not d2.is_continuous:
         raise ValueError("second x attribute must be continuous")
-    if spec.alpha[1] == 0.0 and not spec.p_components[0].is_continuous:
-        raise ValueError("alpha: a zero second weight leaves the coin alone as the x index, "
-                         "whose atoms the transfer map cannot match")
+    a1, a2 = float(spec.alpha[0]), float(spec.alpha[1])
+    if not d1.is_continuous:
+        if a2 == 0.0:
+            raise ValueError("alpha: a zero second weight leaves the coin alone as the x index, "
+                             "whose atoms the transfer map cannot match")
+        if abs(a2) * (d2.quantile(0.75) - d2.quantile(0.25)) < _NEAR_ATOMIC * abs(a1):
+            raise ValueError(f"alpha: the second weight {a2!r} gives a2*X2 an interquartile range under "
+                             f"{_NEAR_ATOMIC:g} of the first weight {a1!r}, so the x index is nearly the "
+                             "coin alone, whose atoms the transfer map cannot match")
     index_tails = _population_index_tails(spec, tol, stats if stats is not None else QuadratureStats())
     qdist, b = spec.q_components[0], float(spec.beta[0])
 
@@ -372,21 +382,13 @@ def _mean_over(spec: MarketSpec, fn: Callable, tol: float, stats: QuadratureStat
 def quadrature_expectations(tol: float, stats: QuadratureStats | None = None) -> dict[str, float]:
     """Numerical counterparts of the exact expectations, same keys, with the
     matched outcome read off the benchmark market's population transfer map."""
-    g = _EXP1.cdf
     spec = counterexample_market()
     a1, a2 = float(spec.alpha[0]), float(spec.alpha[1])
     tmap = population_transfer_map(spec, tol, stats)
-
-    def mean(fn) -> float:
-        return quad_integrate(fn, _EXP1, tol, stats)
-
     return {
-        "mean_cdf_shift_plus2": mean(lambda z: g(z + 2.0)),
-        "mean_cdf_shift_minus2": mean(lambda z: g(z - 2.0)),
-        "mean_x_cdf_shift_minus2": mean(lambda z: z * g(z - 2.0)),
-        "mean_x_cdf_shift_plus2": mean(lambda z: z * g(z + 2.0)),
-        "mean_x_cdf_shift0": mean(lambda z: z * g(z)),
-        "mean_x_matched_outcome": _mean_over(spec, lambda x1, x2: x2 * tmap(a1 * x1 + a2 * x2), tol, stats),
+        key: quad_integrate(fn, spec.p_components[1], tol, stats) if fn is not None
+        else _mean_over(spec, lambda x1, x2: x2 * tmap(a1 * x1 + a2 * x2), tol, stats)
+        for key, fn, _, _ in _TERMS
     }
 
 
@@ -446,24 +448,15 @@ def monte_carlo_counterexample(n: int = 1_000_000, seed: int = 0) -> Counterexam
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    s1, s2 = seed_streams(seed, 2)
-    x1 = DistributionModel("rademacher").draw(n, s1)
-    x2 = _EXP1.draw(n, s2)
+    spec = counterexample_market()
+    x1, x2 = (dist.draw(n, stream) for dist, stream in zip(spec.p_components, seed_streams(seed, 2)))
     yhat = matched_outcome(x1, x2)
-    plus2, minus2 = _EXP1.cdf(x2 + 2.0), _EXP1.cdf(x2 - 2.0)
     terms, stderrs = {}, {}
-    for key, values in (
-        ("mean_cdf_shift_plus2", plus2),
-        ("mean_cdf_shift_minus2", minus2),
-        ("mean_x_cdf_shift_minus2", x2 * minus2),
-        ("mean_x_cdf_shift_plus2", x2 * plus2),
-        ("mean_x_cdf_shift0", x2 * _EXP1.cdf(x2)),
-        ("mean_x_matched_outcome", x2 * yhat),
-    ):
-        terms[key], stderrs[key] = _mean_stderr(values)
+    for key, fn, _, _ in _TERMS:
+        terms[key], stderrs[key] = _mean_stderr(x2 * yhat if fn is None else fn(x2))
     cov_x1, cov_x2, cov_stderrs = _cov_stderrs(x1, x2, yhat)
     return CounterexampleReport.from_covariances(
-        (_SQRT1_2, _SQRT1_2), cov_x1, cov_x2, "monte_carlo", terms, {**stderrs, **cov_stderrs}
+        spec.alpha, cov_x1, cov_x2, "monte_carlo", terms, {**stderrs, **cov_stderrs}
     )
 
 

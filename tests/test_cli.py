@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -558,6 +559,17 @@ class TestCounterexampleCommand:
                      "--out", str(tmp_path / "g")]) == 0
         quad = json.loads((tmp_path / "g" / "counterexample.json").read_text())["quadrature"]
         assert quad["expectation_terms"] == {}
+
+    # the whole counterexample.json, its closed-form, quadrature and Monte
+    # Carlo blocks included, bit for bit
+    @pytest.mark.parametrize("flags, sha256", [
+        (["--tol", "1e-9", "--n", "20000"], "659fd9b29a005a48f1d481233916354850fcc41c33b52b8afaf25378e057525f"),
+        (["--gaussian", "--tol", "1e-8", "--n", "2000"],
+         "f085bea13640a44c0b77464380b08cc49deb645c110362386e1d1f0017ad6674"),
+    ], ids=["benchmark", "gaussian"])
+    def test_output_bytes_are_pinned(self, tmp_path, flags, sha256):
+        assert main(["counterexample", *flags, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "counterexample.json").read_bytes()).hexdigest() == sha256
 
     def test_zero_monte_carlo_covariance_exits_3(self, tmp_path, capsys):
         # the two draws of seed 2 share a coin value, so the sample cov_x1 is 0

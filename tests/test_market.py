@@ -341,6 +341,8 @@ READER_TABLE = [
     ("bom_header", "\ufeffx1,y1\n1,2\n", "unexpected sample header ['\\ufeffx1', 'y1']"),
     ("arabic_indic_digit", "x1,y1\n\u0661,2\n", [[1, 2]]),
     ("extremes", "x1,y1\n5e-324,-0.0\n1.7976931348623157e308,0\n", [[5e-324, -0.0], [1.7976931348623157e308, 0.0]]),
+    # bytes, not text: the third line is not UTF-8
+    ("not_utf8", b"x1,x2,y1\n1,2,3\n1,\xff\xfe,3\n", "{path} line 3: byte 0xff is not UTF-8 text"),
 ]
 
 
@@ -349,7 +351,7 @@ class TestCsvRoundTrip:
                              ids=[case[0] for case in READER_TABLE])
     def test_reader_outcome_pinned(self, tmp_path, text, expected):
         path = tmp_path / "sample.csv"
-        path.write_bytes(text.encode())
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         if isinstance(expected, str):
             with pytest.raises(ValueError) as exc:
                 MatchedSample.from_csv(path)

@@ -25,6 +25,7 @@ from matchbench import (
     rademacher,
     uniform01,
 )
+from matchbench import oracle
 from matchbench.oracle import (
     QuadratureStats,
     population_transfer_map,
@@ -368,6 +369,25 @@ class TestCoinPath:
         }
         assert (stats.panels, stats.max_depth) == (183, 25)
 
+    # with the coin at weight 1 and Exp(1) second, a2 = 1e-14 gave cov_x1 0.627
+    # after 7 s and a2 <= 1e-18 gave 13.46 at once (the truth is 0.5585)
+    @pytest.mark.parametrize("a2", [1e-6, 1e-16, 1e-300, 5e-324])
+    def test_nearly_atomic_index_is_refused_before_quadrature(self, monkeypatch, a2):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(oracle, "quad_integrate", no_quadrature)
+        spec = coin_market([1.0, a2], exponential(1.0), gaussian(0.7))
+        with pytest.raises(ValueError, match=r"alpha: the second weight .* interquartile range under 1e-05"):
+            numeric_counterexample(spec, 1e-5)
+
+    def test_small_second_weight_above_the_bound_matches_simulation(self):
+        spec = coin_market([1.0, 1e-4], exponential(1.0), gaussian(0.7))
+        quad = numeric_counterexample(spec, 1e-9)
+        mc = simulated_monte_carlo(spec, 200_000, seed=3)
+        for key in ("cov_x1", "cov_x2"):
+            assert abs(getattr(quad, key) - getattr(mc, key)) <= 5 * mc.stderrs[key], key
+
 
 def laws(kinds):
     """A law of one of ``kinds``, its parameter (where it takes one) in [0.5, 2.5]."""
@@ -380,7 +400,7 @@ def laws(kinds):
 CONTINUOUS = ("gaussian", "exponential", "uniform01")
 # the exact axis weights, and 72 directions at least 2.5 degrees off the axes:
 # with a2 nearer 0, a coin market's index is almost atomic and the quadrature
-# slow or wrong (a known defect)
+# slow (about 0.7 s at a2 = 1e-5, just above where it is refused)
 WEIGHTS = st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]) | st.integers(0, 71).map(
     lambda k: (math.cos((k + 0.5) * math.pi / 36), math.sin((k + 0.5) * math.pi / 36)))
 
