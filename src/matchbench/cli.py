@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 import warnings
@@ -24,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, MatchbenchError, NumericalError
 from .estimators import (
+    WORKERS,
     cca,
     compute_moments,
     mrs_estimate,
@@ -362,7 +362,7 @@ def cmd_benchmark(args) -> int:
 
     tasks = [(n, rep) for n in config.sweep for rep in range(config.replications)]
     # outputs do not depend on the worker count: every task seeds itself from its index
-    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
         futures = [pool.submit(_benchmark_task, config, n, rep, idx) for idx, (n, rep) in enumerate(tasks)]
         records = [row for fut in futures for row in fut.result()]
 

@@ -12,6 +12,8 @@ in the diagnostics.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +26,12 @@ from .saliency import svd_decompose
 _TWO_PI = 2.0 * math.pi
 _EIGEN_FLOOR_RATIO = 1e-10
 _MOMENTS_OVERFLOW = "sample: second moments overflow a float; rescale the columns"
+# threads of the ``benchmark`` pool and of the kernel regression's point blocks
+WORKERS = min(4, os.cpu_count() or 1)
+# kernel-regression tiles split the n columns evenly, each at least this wide
+# unless n is narrower: numpy's loops ran at half speed on tiles under 4096
+# columns, and a worker's 10 rows at n = 1e5, with its spare tile, fit in a 2 MB L2
+_TILE = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,9 +425,13 @@ def kernel_regression(sample: MatchedSample, points, bandwidths) -> np.ndarray:
     """Nadaraya-Watson fit of y1 on all x attributes with a product
     Gaussian kernel, evaluated at the given points.
 
-    Works one x column at a time on (points, n) arrays, with the
-    arithmetic of summing a (points, n, dx) array of squared scaled
-    distances, so the fit is bit-identical to that broadcast form.
+    Works one x column at a time, with the arithmetic of summing a
+    (points, n, dx) array of squared scaled distances, and sums each row
+    with numpy's pairwise sum, never BLAS, so every output depends on its
+    own point alone, bit for bit: not on the block rows, the worker count
+    or the BLAS threads. Blocks of points go to ``WORKERS`` threads, which
+    share a budget of 2e6 weights; each forms its block in one buffer a
+    column tile at a time, so the elementwise work stays in cache.
     """
     cols = np.ascontiguousarray(sample.xs.T)
     dx, n = cols.shape
@@ -431,32 +443,51 @@ def kernel_regression(sample: MatchedSample, points, bandwidths) -> np.ndarray:
     if h.shape != (dx,) or not np.all(np.isfinite(h) & (h > 0)):
         raise NumericalError(f"bandwidth degenerate: need {dx} finite positive bandwidths, got {h.tolist()}")
     out = np.empty(pts.shape[0])
-    # The block shape sets the rounding of the BLAS product and the row
-    # sums, so it stays fixed: a smaller block changes the output bits.
-    chunk = max(1, int(2e6 // max(1, n)))
-    # Every block is written into the same two buffers, so a block's weights
-    # are gone once the next block is formed. The sum of squares builds up
-    # in ``total``, which holds the first term; below 8 terms numpy adds in
-    # sequence, so each later term is formed in ``spare`` and added straight
-    # in. From 8 terms on its pairwise order keeps partial sums, in fresh arrays.
-    total = np.empty((min(chunk, pts.shape[0]), n))
-    spare = np.empty_like(total) if 1 < dx < 8 else None
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start : start + chunk]
-        rows = block.shape[0]
+    # the workers share the budget, and each gets a block when there are few points
+    rows = max(1, min(int(2e6 // max(1, n)) // WORKERS, -(-pts.shape[0] // WORKERS)))
+    starts = range(0, pts.shape[0], rows)
+    workers = max(1, min(WORKERS, len(starts)))
+    width = -(-n // max(1, n // _TILE))
+    tiles = [slice(c, c + width) for c in range(0, n, width)]
+    # Allocated here, not in the workers: freed memory that a worker thread's
+    # malloc arena took stays in the process.
+    buffers = np.empty((workers, rows, n))
+    # The sum of squares builds up in the weights, which hold the first
+    # term; below 8 terms numpy adds in sequence, so each later term is
+    # formed in a spare tile and added straight in. From 8 terms on its
+    # pairwise order keeps partial sums, in fresh tile-sized arrays.
+    spares = np.empty((workers, rows, width)) if 1 < dx < 8 else [None] * workers
 
-        def scaled_square(j):
-            buffer = total if j == 0 else spare
-            z = np.subtract(block[:, j, None], cols[j], out=None if buffer is None else buffer[:rows])
-            z /= h[j]
-            z *= z
-            return z
+    def fit(first: int) -> None:
+        weights, spare = buffers[first], spares[first]
+        for start in starts[first::workers]:
+            block = pts[start : start + rows]
+            w = weights[: block.shape[0]]
+            peak = np.full(block.shape[0], -np.inf)
+            for tile in tiles:
+                part = w[:, tile]
+                later = None if spare is None else spare[: part.shape[0], : part.shape[1]]
 
-        logw = _pairwise_sum(scaled_square, 0, dx)
-        logw *= -0.5
-        logw -= logw.max(axis=1, keepdims=True)
-        w = np.exp(logw, out=logw)
-        out[start : start + chunk] = (w @ y) / w.sum(axis=1)
+                def scaled_square(j):
+                    z = np.subtract(block[:, j, None], cols[j, tile], out=part if j == 0 else later)
+                    z /= h[j]
+                    z *= z
+                    return z
+
+                _pairwise_sum(scaled_square, 0, dx)
+                part *= -0.5
+                np.maximum(peak, part.max(axis=1), out=peak)
+            for tile in tiles:
+                part = w[:, tile]
+                part -= peak[:, None]
+                np.exp(part, out=part)
+            # full-row pairwise sums: a BLAS product would round by its thread count
+            den = w.sum(axis=1)
+            w *= y
+            out[start : start + rows] = w.sum(axis=1) / den
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fit, range(workers)))
     return out
 
 

@@ -242,14 +242,15 @@ class MatchedSample:
         """Read a sample written by ``to_csv``; a malformed file raises a
         ValueError naming its line.
 
-        After the header, ``np.loadtxt`` parses the rows straight into one
+        The header must read x1, ..., y1, ...; any other header is named as
+        line 1. After it, ``np.loadtxt`` parses the rows straight into one
         array. That array is kept only when it has rows, one column per
         header name and finite entries; every value it then holds is the
         one ``float`` gives for the same field, bit for bit. Any other
         outcome reads the rows again in a Python loop, which is the only
-        source of errors, so every message names its line. The file is read
-        as UTF-8, each byte that is not UTF-8 kept as an escape, so the row
-        loop names the first such line too.
+        source of row errors, so every message names its line. The file is
+        read as UTF-8, each byte that is not UTF-8 kept as an escape, so the
+        header check and the row loop name the first such byte.
         """
         with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
             reader = csv.reader(fh)
@@ -259,7 +260,8 @@ class MatchedSample:
             dx = sum(1 for name in header if name.startswith("x"))
             dy = len(header) - dx
             if dx < 1 or dy < 1 or header != [f"x{j + 1}" for j in range(dx)] + [f"y{j + 1}" for j in range(dy)]:
-                raise ValueError(f"unexpected sample header {header!r}")
+                problem = _undecoded(header) or f"unexpected sample header {header!r}"
+                raise ValueError(f"{path} line {reader.line_num}: {problem}")
             try:
                 with warnings.catch_warnings():
                     # a file without rows is named by the row loop
@@ -288,14 +290,19 @@ def _read_rows(path, fh, width: int) -> np.ndarray:
         except ValueError:
             values = []
         if len(values) != width or not all(map(math.isfinite, values)):
-            escaped = [c for field in row for c in field if "\udc80" <= c <= "\udcff"]
-            if escaped:
-                raise ValueError(f"{path} line {reader.line_num}: byte {ord(escaped[0]) - 0xDC00:#04x} is not UTF-8 text")
-            raise ValueError(f"{path} line {reader.line_num}: expected {width} finite numbers, got {row!r}")
+            problem = _undecoded(row) or f"expected {width} finite numbers, got {row!r}"
+            raise ValueError(f"{path} line {reader.line_num}: {problem}")
         rows.append(values)
     if not rows:
         raise ValueError(f"{path}: sample file has no rows")
     return np.asarray(rows, dtype=float)
+
+
+def _undecoded(fields) -> str | None:
+    """The error for the first byte of ``fields`` that is not UTF-8 (read
+    as an escape), or None when every byte was UTF-8."""
+    escaped = [c for field in fields for c in field if "\udc80" <= c <= "\udcff"]
+    return f"byte {ord(escaped[0]) - 0xDC00:#04x} is not UTF-8 text" if escaped else None
 
 
 def _draw_side(components, cov, dim, n, streams) -> np.ndarray:

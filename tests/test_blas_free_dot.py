@@ -1,10 +1,19 @@
 """Hot-path guard, with the standard library's ``ast`` only: the exact
-rank-product sum must not reach BLAS.
+rank-product sum and the kernel regression must not reach BLAS, for two
+reasons.
 
-At n above about 1e4 OpenBLAS runs a dot product on its own threads, which
-spin on the CPUs the ``benchmark`` pool's workers need; the sum is exact in
-any order, so numpy's own loop gives the same bits. No output test can see
-a return to ``@``, only the wall clock can.
+- Oversubscription. At n above about 1e4 OpenBLAS runs a product on its
+  own threads, which spin on the CPUs the ``benchmark`` pool's workers and
+  the kernel regression's own workers need.
+- Bits that depend on the thread count. OpenBLAS splits a product by its
+  thread count, so the rounding of a float product, and with it the
+  ``mrs`` output bytes, would change from one machine to the next. The
+  rank sum is exact in any order; the kernel regression reduces each row
+  with numpy's pairwise sum instead.
+
+No output test can see the rank sum return to ``@``, only the wall clock
+can. A kernel regression on BLAS shows in its bytes only under another
+thread count, which one test in ``test_estimators.py`` sets up.
 """
 
 import ast
@@ -33,6 +42,11 @@ def blas_uses(source: str, function: str) -> list[str]:
 def test_exact_dot_stays_off_blas():
     source = Path(matchbench.estimators.__file__).read_text()
     assert blas_uses(source, "_exact_dot4") == []
+
+
+def test_kernel_regression_stays_off_blas():
+    source = Path(matchbench.estimators.__file__).read_text()
+    assert blas_uses(source, "kernel_regression") == []
 
 
 def test_guard_flags_blas_calls():

@@ -338,11 +338,13 @@ READER_TABLE = [
     ("lf", "x1,y1\n1,2\n3,4\n", [[1, 2], [3, 4]]),
     ("cr_only", "x1,y1\r1,2\r3,4\r", [[1, 2], [3, 4]]),
     ("header_only", "x1,y1\r\n", "{path}: sample file has no rows"),
-    ("bom_header", "\ufeffx1,y1\n1,2\n", "unexpected sample header ['\\ufeffx1', 'y1']"),
+    ("bom_header", "\ufeffx1,y1\n1,2\n", "{path} line 1: unexpected sample header ['\\ufeffx1', 'y1']"),
+    ("wrong_header", "x1,y2,y1\n1,2,3\n", "{path} line 1: unexpected sample header ['x1', 'y2', 'y1']"),
     ("arabic_indic_digit", "x1,y1\n\u0661,2\n", [[1, 2]]),
     ("extremes", "x1,y1\n5e-324,-0.0\n1.7976931348623157e308,0\n", [[5e-324, -0.0], [1.7976931348623157e308, 0.0]]),
-    # bytes, not text: the third line is not UTF-8
+    # bytes, not text: the third line, then the header, is not UTF-8
     ("not_utf8", b"x1,x2,y1\n1,2,3\n1,\xff\xfe,3\n", "{path} line 3: byte 0xff is not UTF-8 text"),
+    ("header_not_utf8", b"x1,\xffx2,y1\n1,2,3\n", "{path} line 1: byte 0xff is not UTF-8 text"),
 ]
 
 
