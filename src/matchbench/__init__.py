@@ -41,7 +41,6 @@ from .oracle import (
     CounterexampleReport,
     closed_form_counterexample,
     counterexample_expectations,
-    matched_outcome,
     monte_carlo_counterexample,
     numeric_counterexample,
     quad_integrate,

@@ -2,7 +2,8 @@
 
 Three independent routes produce the matched-outcome covariances of the
 two-attribute benchmark market: exact closed forms, adaptive quadrature
-over the population transfer map, and plain Monte Carlo. Their agreement
+over the population transfer map, and Monte Carlo over a simulated sample
+matched by sorting, which evaluates no transfer map at all. Their agreement
 is what the test suite leans on.
 """
 
@@ -20,7 +21,6 @@ from .distributions import (
     scaled_cdf,
     scaled_quantile,
     scaled_sf,
-    seed_streams,
 )
 from .errors import NumericalError, QuadratureConvergenceError
 from .market import MarketSpec, counterexample_market, simulate_market
@@ -257,28 +257,6 @@ def closed_form_counterexample() -> CounterexampleReport:
     )
 
 
-def matched_outcome(x1, x2):
-    """Partner index matched to attributes (x1, x2) in the benchmark market.
-
-    Piecewise in the coin value and always in [0, 1]: the closed form of
-    the benchmark's transfer map at the index (x1 + x2)/sqrt(2), kept for
-    the Monte Carlo column. ``population_transfer_map`` is the general map.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    scalar = x1.ndim == 0 and x2.ndim == 0
-    x1, x2 = np.broadcast_arrays(x1, x2)
-    if not np.all((x1 == 1.0) | (x1 == -1.0)):
-        raise ValueError("first attribute must be -1 or +1")
-    if np.any(x2 < 0.0):
-        raise ValueError("second attribute must be nonnegative")
-    g0 = _G(x2)
-    low = 0.5 * (g0 + _G(x2 - 2.0))
-    high = 0.5 * (_G(x2 + 2.0) + g0)
-    out = np.where(x1 < 0.0, low, high)
-    return float(out) if scalar else out
-
-
 # finite ends of each kind's support, where its CDF has a kink; the coin has
 # none to split at, since quad_integrate sums its two atoms exactly
 _SUPPORT_ENDS = {"gaussian": (), "exponential": (0.0,), "uniform01": (0.0, 1.0), "rademacher": ()}
@@ -437,32 +415,25 @@ def _cov_stderrs(x1, x2, t) -> tuple[float, float, dict[str, float]]:
     return covs[0], covs[1], stderrs
 
 
-def monte_carlo_counterexample(n: int = 1_000_000, seed: int = 0) -> CounterexampleReport:
-    """Monte Carlo column for the benchmark market, with standard errors.
+def simulated_monte_carlo(spec: MarketSpec, n: int, seed: int, terms=()) -> CounterexampleReport:
+    """Monte Carlo column of a two-attribute market, obtained through the full
+    simulation pipeline (sampling and the coupling sort), with standard errors.
 
-    Evaluates the closed-form transfer map ``matched_outcome`` on independent
-    draws. ``population_transfer_map`` gives the same map, but takes 2.2 to
-    2.9 times as long on 1e6 draws (0.12-0.15 s against 0.04-0.06 s, best of
-    9 calls, on 2 shared Intel Xeon vCPUs) and differs by up to 2.2e-16 in
-    about 29 % of them, which would move the last digits of the report.
+    ``terms`` rows (see ``_TERMS``) are averaged over the sample's X2 column;
+    a row without an integrand averages X2 times the matched y index.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    spec = counterexample_market()
-    x1, x2 = (dist.draw(n, stream) for dist, stream in zip(spec.p_components, seed_streams(seed, 2)))
-    yhat = matched_outcome(x1, x2)
-    terms, stderrs = {}, {}
-    for key, fn, _, _ in _TERMS:
-        terms[key], stderrs[key] = _mean_stderr(x2 * yhat if fn is None else fn(x2))
-    cov_x1, cov_x2, cov_stderrs = _cov_stderrs(x1, x2, yhat)
+    sample = simulate_market(spec, n, seed)
+    x1, x2, t = sample.xs[:, 0], sample.xs[:, 1], sample.y_index(spec.beta)
+    means, stderrs = {}, {}
+    for key, fn, _, _ in terms:
+        means[key], stderrs[key] = _mean_stderr(x2 * t if fn is None else fn(x2))
+    cov_x1, cov_x2, cov_stderrs = _cov_stderrs(x1, x2, t)
     return CounterexampleReport.from_covariances(
-        spec.alpha, cov_x1, cov_x2, "monte_carlo", terms, {**stderrs, **cov_stderrs}
+        spec.alpha, cov_x1, cov_x2, "monte_carlo", means, {**stderrs, **cov_stderrs}
     )
 
 
-def simulated_monte_carlo(spec: MarketSpec, n: int, seed: int) -> CounterexampleReport:
-    """Monte Carlo column of a two-attribute market, obtained through the full
-    simulation pipeline (sampling and the coupling sort)."""
-    sample = simulate_market(spec, n, seed)
-    cov_x1, cov_x2, stderrs = _cov_stderrs(sample.xs[:, 0], sample.xs[:, 1], sample.y_index(spec.beta))
-    return CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "monte_carlo", stderrs=stderrs)
+def monte_carlo_counterexample(n: int = 1_000_000, seed: int = 0) -> CounterexampleReport:
+    """Monte Carlo column for the benchmark market: its covariances and
+    named expectation terms over one simulated sample matched by sorting."""
+    return simulated_monte_carlo(counterexample_market(), n, seed, _TERMS)

@@ -563,7 +563,7 @@ class TestCounterexampleCommand:
     # the whole counterexample.json, its closed-form, quadrature and Monte
     # Carlo blocks included, bit for bit
     @pytest.mark.parametrize("flags, sha256", [
-        (["--tol", "1e-9", "--n", "20000"], "659fd9b29a005a48f1d481233916354850fcc41c33b52b8afaf25378e057525f"),
+        (["--tol", "1e-9", "--n", "20000"], "69203b1eb635dd7f1c66537e6557cec52fe75ab392a10b1b03a4493217ec51f0"),
         (["--gaussian", "--tol", "1e-8", "--n", "2000"],
          "f085bea13640a44c0b77464380b08cc49deb645c110362386e1d1f0017ad6674"),
     ], ids=["benchmark", "gaussian"])
@@ -579,9 +579,11 @@ class TestCounterexampleCommand:
         assert "cov_x1" in err
         assert "Traceback" not in err
 
-    def test_readme_gaussian_command_at_default_tol(self, tmp_path):
+    # the README's two commands, at the default n = 1e6 and seed 0
+    @pytest.mark.parametrize("flags", [["--gaussian"], ["--tol", "1e-9"]], ids=["gaussian", "benchmark"])
+    def test_readme_command_at_default_tol(self, tmp_path, flags):
         started = time.perf_counter()
-        rc = main(["counterexample", "--gaussian", "--out", str(tmp_path)])
+        rc = main(["counterexample", *flags, "--out", str(tmp_path)])
         elapsed = time.perf_counter() - started
         assert rc == 0
         payload = json.loads((tmp_path / "counterexample.json").read_text())

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from matchbench import (
     DegenerateIndexError,
@@ -305,6 +306,32 @@ class TestAssignmentOracle:
             ys = rng.integers(0, 3, size=(n, 1)).astype(float) if trial % 2 else rng.normal(size=(n, 1))
             for spec in (product, anti):
                 assert assignment_oracle(xs, ys, spec) == loop_oracle(xs, ys, spec)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scipy_assignment(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in range(1, 8):
+            xs = rng.normal(size=(n, 1))
+            ys = rng.normal(size=(n, 1))
+            for spec in (uniform_1d_market(), anti_market()):
+                pair = pair_surplus_matrix(xs, ys, spec)
+                _, cols = linear_sum_assignment(pair, maximize=True)
+                assert assignment_oracle(xs, ys, spec)[1] == matching_value(pair, cols)
+
+    def test_scipy_assignment_sorts_a_large_market(self, rng):
+        n = 1000
+        xs = rng.normal(size=(n, 1))
+        ys = rng.normal(size=(n, 1))
+        product = uniform_1d_market()
+        pair = pair_surplus_matrix(xs, ys, product)
+        _, cols = linear_sum_assignment(pair, maximize=True)
+        assert matching_value(pair, cols) == matching_value(pair, rank_sorted_permutation(xs, ys, product))
+        # negated beta: the optimum pairs the i-th smallest x with the i-th largest y
+        pair = pair_surplus_matrix(xs, ys, anti_market())
+        _, cols = linear_sum_assignment(pair, maximize=True)
+        reversed_ranks = np.empty(n, dtype=int)
+        reversed_ranks[np.argsort(xs[:, 0])] = np.argsort(ys[:, 0])[::-1]
+        assert matching_value(pair, cols) == matching_value(pair, reversed_ranks)
 
     def test_rejects_large_n(self):
         spec = uniform_1d_market()

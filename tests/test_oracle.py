@@ -17,7 +17,6 @@ from matchbench import (
     counterexample_market,
     exponential,
     gaussian,
-    matched_outcome,
     monte_carlo_counterexample,
     numeric_counterexample,
     population_moments_gaussian,
@@ -64,27 +63,29 @@ class TestClosedForms:
 
 
 class TestMatchedOutcome:
+    """The benchmark market's transfer map at the index (x1 + x2)/sqrt(2)."""
+
+    @staticmethod
+    def matched(x1, x2):
+        return population_transfer_map(counterexample_market(), 1e-9)((x1 + x2) / math.sqrt(2.0))
+
     def test_low_coin_at_origin(self):
-        assert matched_outcome(-1.0, 0.0) == 0.0
+        # the map floors the index's lower tail at the smallest positive double
+        assert abs(self.matched(-1.0, 0.0)) <= 1e-15
 
     def test_high_coin_at_origin(self):
-        assert abs(matched_outcome(1.0, 0.0) - 0.5 * (1.0 - E2)) <= 1e-15
+        assert abs(self.matched(1.0, 0.0) - 0.5 * (1.0 - E2)) <= 1e-15
 
     def test_limits_to_one(self):
-        assert abs(matched_outcome(1.0, 80.0) - 1.0) <= 1e-15
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            matched_outcome(0.5, 1.0)
-        with pytest.raises(ValueError):
-            matched_outcome(1.0, -0.5)
+        assert self.matched(1.0, 80.0) == 1.0
 
     def test_equals_index_cdf_at_combined_index(self, rng):
         x1 = rng.choice([-1.0, 1.0], size=10_000)
         x2 = rng.exponential(size=10_000)
-        lhs = matched_outcome(x1, x2)
-        rhs = population_transfer_map(counterexample_market(), 1e-9)((x1 + x2) / math.sqrt(2.0))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+        g = exponential(1.0).cdf
+        # closed form: the index CDF at x1 + x2, averaged over the coin, 1/2 [G(x2) + G(x2 + 2 x1)]
+        closed = 0.5 * (g(x2) + g(x2 + 2.0 * x1))
+        assert np.max(np.abs(self.matched(x1, x2) - closed)) <= 1e-12
 
 
 class TestQuadrature:
