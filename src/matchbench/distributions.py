@@ -4,7 +4,8 @@ Four attribute laws are supported: centered Gaussians, the fair ±1 coin
 (Rademacher), the exponential on [0, inf), and the uniform on [0, 1].
 The last two are used exactly as defined (not re-centered); covariance
 computations elsewhere always center empirically, so both conventions
-coexist without adjustment.
+coexist without adjustment. ``scipy.special`` loads on the first Gaussian
+tail call (cdf, sf, quantile or isf), so the other laws never import scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 KINDS = ("gaussian", "rademacher", "exponential", "uniform01")
 
@@ -38,7 +38,8 @@ def _as_float_array(z):
 
 def _as_probabilities(p):
     arr, scalar = _as_float_array(p)
-    if ((arr <= 0.0) | (arr >= 1.0)).any():
+    # written so that nan fails it too
+    if not ((arr > 0.0) & (arr < 1.0)).all():
         raise ValueError("quantile requires probabilities strictly inside (0, 1)")
     return arr, scalar
 
@@ -82,6 +83,7 @@ class DistributionModel:
         """Right-continuous CDF; the exponential CDF is 0 on negatives."""
         arr, scalar = _as_float_array(z)
         if self.kind == "gaussian":
+            from scipy.special import ndtr
             out = ndtr(arr / self.param)
         elif self.kind == "rademacher":
             out = np.where(arr < -1.0, 0.0, np.where(arr < 1.0, 0.5, 1.0))
@@ -95,6 +97,7 @@ class DistributionModel:
         """Survival function P(Z > z), computed directly rather than as 1 - cdf(z)."""
         arr, scalar = _as_float_array(z)
         if self.kind == "gaussian":
+            from scipy.special import ndtr
             out = ndtr(-arr / self.param)
         elif self.kind == "rademacher":
             out = np.where(arr < -1.0, 1.0, np.where(arr < 1.0, 0.5, 0.0))
@@ -122,6 +125,7 @@ class DistributionModel:
         """Smallest z with cdf(z) >= p, for p strictly inside (0, 1)."""
         arr, scalar = _as_probabilities(p)
         if self.kind == "gaussian":
+            from scipy.special import ndtri
             out = self.param * ndtri(arr)
         elif self.kind == "rademacher":
             out = np.where(arr <= 0.5, -1.0, 1.0)
@@ -136,6 +140,7 @@ class DistributionModel:
         without forming 1 - s, so it keeps full precision as s nears 0."""
         arr, scalar = _as_probabilities(s)
         if self.kind == "gaussian":
+            from scipy.special import ndtri
             out = -self.param * ndtri(arr)
         elif self.kind == "rademacher":
             out = np.where(arr >= 0.5, -1.0, 1.0)

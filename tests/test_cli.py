@@ -5,8 +5,6 @@ import math
 import os
 import re
 import shlex
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -724,30 +722,40 @@ class TestSaliencyCommand:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self, tmp_path):
+    def test_module_invocation(self, tmp_path, fresh_python):
         cfg = write_config(tmp_path / "cfg.json", n=100)
-        # the child imports matchbench from wherever this process found it
-        src = str(Path(matchbench.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "matchbench", "simulate",
-             "--config", str(cfg), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
+        fresh_python("-m", "matchbench", "simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert (tmp_path / "out" / "sample.csv").exists()
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # only the Nelder-Mead search loads it, so the other commands start without it
-        src = str(Path(matchbench.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, matchbench.cli; print(sorted(m for m in sys.modules "
-             "if m.startswith('scipy.optimize')))"],
-            capture_output=True, text=True, env=env,
+    def test_import_loads_no_scipy(self, fresh_python):
+        # only Gaussian tails and the Nelder-Mead search load it, so the other commands start without it
+        out = fresh_python("-c", "import sys, matchbench.cli; print(sorted(m for m in sys.modules "
+                           "if m.split('.')[0] == 'scipy'))")
+        assert out.strip() == "[]"
+
+    def test_commands_off_gaussian_tails_load_no_scipy(self, tmp_path, fresh_python):
+        cfg = write_config(tmp_path / "cfg.json", affinity=[[0.6], [0.8]])
+        sample = str(tmp_path / "sim" / "sample.csv")
+        runs = [
+            ["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")],
+            ["estimate", "--config", str(cfg), "--sample", sample, "--methods", "cca,ols,mrs,saliency",
+             "--out", str(tmp_path / "est")],
+            ["counterexample", "--n", "1000", "--tol", "1e-6", "--out", str(tmp_path / "ce")],
+            ["saliency", "--config", str(cfg), "--out", str(tmp_path / "sal")],
+            ["counterexample", "--gaussian", "--n", "1000", "--tol", "1e-6", "--out", str(tmp_path / "gauss")],
+        ]
+        script = (
+            "import json, sys\n"
+            "from matchbench.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "    print('loaded', json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        loaded = [json.loads(line.removeprefix("loaded ")) for line in
+                  fresh_python("-c", script, json.dumps(runs)).splitlines() if line.startswith("loaded ")]
+        assert loaded[:4] == [[]] * 4
+        # the lazy import runs: the Gaussian market's tails load scipy.special
+        assert "scipy.special" in loaded[4]
 
     @pytest.mark.parametrize("command", [["estimate", "--sample", "x.csv"], ["benchmark"]],
                              ids=["estimate", "benchmark"])

@@ -126,6 +126,15 @@ class TestUpperTail:
         with pytest.raises(ValueError):
             exponential(1.0).isf(s)
 
+    @pytest.mark.parametrize("tail", ["quantile", "isf"])
+    @pytest.mark.parametrize("dist", [gaussian(0.7), rademacher(), exponential(1.0), uniform01()],
+                             ids=lambda d: d.kind)
+    def test_nan_probability_rejected(self, dist, tail):
+        # nan fails every comparison, so the range check must not let it through
+        for p in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="strictly inside"):
+                getattr(dist, tail)(p)
+
 
 class TestScaledHelpers:
     def test_scaled_quantile_inverts_scaled_cdf(self, rng):
@@ -164,6 +173,35 @@ class TestScaledHelpers:
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):
             scaled_cdf(uniform01(), 0.0, 0.3)
+
+
+# the first Gaussian tail call imports scipy.special; four threads make it
+# at once, and each result must equal the serial one bit for bit
+FIRST_GAUSSIAN_CALL_FROM_THREADS = """
+import sys, threading
+import numpy as np
+from matchbench.distributions import gaussian, scaled_cdf, scaled_quantile, scaled_sf
+assert "scipy.special" not in sys.modules
+dist, t = gaussian(0.7), np.linspace(-40.0, 40.0, 2001)
+p = np.linspace(0.0, 1.0, 2002)[1:-1]
+def calls():
+    return [scaled_cdf(dist, -1.5, t), scaled_sf(dist, 2.0, t), scaled_quantile(dist, -0.5, p, 1.0 - p)]
+barrier, results = threading.Barrier(4), [None] * 4
+def work(i):
+    barrier.wait()
+    results[i] = calls()
+threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+serial = [a.tobytes() for a in calls()]
+print(all([a.tobytes() for a in r] == serial for r in results))
+"""
+
+
+def test_first_gaussian_call_from_threads(fresh_python):
+    assert fresh_python("-c", FIRST_GAUSSIAN_CALL_FROM_THREADS).strip() == "True"
 
 
 class TestEmpiricalCDF:

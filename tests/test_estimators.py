@@ -1,15 +1,11 @@
 import json
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import matchbench
 from matchbench import (
     MatchedSample,
     MomentSet,
@@ -321,23 +317,19 @@ class TestMrs:
     def test_report_pinned(self, sample, expected):
         assert json.dumps(mrs_estimate(sample()).to_json_dict(), sort_keys=True) == expected
 
-    def test_report_bytes_do_not_depend_on_blas_threads(self):
+    def test_report_bytes_do_not_depend_on_blas_threads(self, fresh_python):
         # the child runs OpenBLAS on one thread; a BLAS product in the fit
         # rounds by its thread count, which moved the last digits here
-        src = str(Path(matchbench.__file__).parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import json\n"
-             "from matchbench import counterexample_market, mrs_estimate, simulate_market\n"
-             "result = mrs_estimate(simulate_market(counterexample_market(), 100_000, seed=5))\n"
-             "print(json.dumps(result.to_json_dict(), sort_keys=True))"],
-            capture_output=True, text=True, env=env,
+        out = fresh_python(
+            "-c",
+            "import json\n"
+            "from matchbench import counterexample_market, mrs_estimate, simulate_market\n"
+            "result = mrs_estimate(simulate_market(counterexample_market(), 100_000, seed=5))\n"
+            "print(json.dumps(result.to_json_dict(), sort_keys=True))",
+            OPENBLAS_NUM_THREADS="1",
         )
-        assert proc.returncode == 0, proc.stderr
         result = mrs_estimate(simulate_market(counterexample_market(), 100_000, seed=5))
-        assert proc.stdout.strip() == json.dumps(result.to_json_dict(), sort_keys=True)
+        assert out.strip() == json.dumps(result.to_json_dict(), sort_keys=True)
 
 
 def broadcast_kernel_regression(sample, points, bandwidths):
