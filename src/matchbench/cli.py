@@ -101,6 +101,11 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ConfigError(f"methods: unknown method {m!r} (choose from {ALL_METHODS})")
+        # only a 1x1 market (two signs) and a 2x1 market (the angular grid) have candidates without restarts
+        shape = (self.market.dx, self.market.dy)
+        if "spearman" in self.methods and self.restarts == 0 and shape not in ((1, 1), (2, 1)):
+            raise ConfigError(f"spearman.restarts: must be >= 1 for spearman on a {shape[0]}x{shape[1]} market, "
+                              "got 0 (only 1x1 and 2x1 markets search without restarts)")
         if not isinstance(self.sweep, (list, tuple)):
             raise ConfigError(f"sweep: must be a list of sample sizes, got {self.sweep!r}")
         for size in self.sweep:

@@ -262,6 +262,74 @@ _COARSE_CIRCLE = np.arange(512) * _COARSE_STEP
 _FINE_STEP = 1e-3
 
 
+# Nelder-Mead as scipy 1.17.1 runs it: a port of _minimize_neldermead from
+# scipy/optimize/_optimize.py (Copyright (c) 2001-2002 Enthought, Inc. and
+# 2003- SciPy Developers; BSD 3-Clause license) for the one case used here:
+# no bounds, no callback, not adaptive, and no cap on evaluations. Its
+# arithmetic and ordering are scipy's, step for step, so it returns the
+# same bits.
+def _nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int):
+    """Minimize ``f`` from ``x0``; returns (x, fun, nfev, nit, success)."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    x0 = np.asarray(x0, dtype=float).ravel()
+    N = x0.size
+    sim = np.tile(x0, (N + 1, 1))
+    for k in range(N):
+        sim[k + 1, k] = (1 + nonzdelt) * x0[k] if x0[k] != 0 else zdelt
+    nfev = 0
+
+    def func(x: np.ndarray):
+        nonlocal nfev
+        nfev += 1
+        return f(np.copy(x))
+
+    fsim = np.array([func(x) for x in sim], dtype=float)
+    # scipy sorts twice here; an argsort need not be stable, so both stay
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = func(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = func(xc)
+                keep = fxc <= fxr
+            else:
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = func(xc)
+                keep = fxc < fsim[-1]
+            if keep:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), nfev, iterations, iterations < maxiter
+
+
 def _ranker(columns: np.ndarray):
     """w -> average ranks of columns @ w; a one-column side is ranked once."""
     if columns.shape[1] > 1:
@@ -283,11 +351,10 @@ def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) 
     not be concave, so all local optima found are kept in the diagnostics.
     The argmax is the first candidate with the largest objective, so ties
     go to the earlier restart, and restarts come before grid points.
+    Each restart runs ``_nelder_mead``, which gives scipy's Nelder-Mead
+    result bit for bit without loading scipy, and reports its evaluations,
+    iterations and convergence in its local optimum.
     """
-    # imported here, so that only a Nelder-Mead search pays for loading
-    # scipy.optimize: no other estimator or command uses it
-    from scipy.optimize import minimize
-
     x_ranks = _ranker(sample.xs)
     y_ranks = _ranker(sample.ys)
     n = sample.n
@@ -326,16 +393,11 @@ def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) 
         rng = seed_streams(seed, 1)[0]
         for r in range(restarts):
             start = rng.uniform(0.0, _TWO_PI, size=ax + ay)
-            res = minimize(
-                neg,
-                start,
-                method="Nelder-Mead",
-                options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": 400 * (ax + ay)},
-            )
-            alpha, beta = unpack(res.x)
+            x, fun, nfev, nit, success = _nelder_mead(neg, start, xatol=1e-6, fatol=1e-10, maxiter=400 * (ax + ay))
+            alpha, beta = unpack(x)
             local_optima.append({
-                "objective": -float(res.fun), "alpha": alpha, "beta": beta, "source": f"restart {r}",
-                "nfev": int(res.nfev), "nit": int(res.nit), "success": bool(res.success),
+                "objective": -float(fun), "alpha": alpha, "beta": beta, "source": f"restart {r}",
+                "nfev": nfev, "nit": nit, "success": success,
             })
 
     candidates = [(o["objective"], o["alpha"], o["beta"]) for o in local_optima]

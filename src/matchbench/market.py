@@ -306,11 +306,11 @@ def _undecoded(fields) -> str | None:
 
 
 def _draw_side(components, cov, dim, n, streams) -> np.ndarray:
-    if components is not None:
-        cols = [components[j].draw(n, streams[j]) for j in range(dim)]
-        return np.column_stack(cols)
-    z = np.column_stack([streams[j].normal(0.0, 1.0, n) for j in range(dim)])
-    return z @ np.linalg.cholesky(cov).T
+    """n draws of one side, column j from stream j, filled into one array."""
+    draws = np.empty((n, dim))
+    for j in range(dim):
+        draws[:, j] = streams[j].normal(0.0, 1.0, n) if cov is not None else components[j].draw(n, streams[j])
+    return draws if cov is None else draws @ np.linalg.cholesky(cov).T
 
 
 def _coupling_order(index: np.ndarray) -> np.ndarray:
@@ -327,6 +327,22 @@ def _coupling_order(index: np.ndarray) -> np.ndarray:
     return order
 
 
+def _sorted_side(side: str, fields: str, components, cov, weights, n: int, streams) -> np.ndarray:
+    """One side's draws, their index checked, in the order of ``_coupling_order``."""
+    draws = _draw_side(components, cov, weights.size, n, streams)
+    # an inf or nan in an index, or a spread too wide for a float, makes its variance non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        index = draws @ weights
+        spread = np.var(index)
+    if not math.isfinite(spread):
+        raise ValueError(f"{fields}: the {side}-side index overflows a float; rescale the weights or params")
+    if spread == 0.0:
+        raise DegenerateIndexError(f"{side}-side index has zero variance")
+    order = _coupling_order(index)
+    del index  # freed before the sorted copy is allocated
+    return np.take(draws, order, axis=0)
+
+
 def simulate_market(spec: MarketSpec, n: int, seed: int) -> MatchedSample:
     """Draw both sides independently and pair equal index ranks.
 
@@ -339,19 +355,10 @@ def simulate_market(spec: MarketSpec, n: int, seed: int) -> MatchedSample:
     if n < 2:
         raise ValueError("need n >= 2")
     streams = seed_streams(seed, spec.dx + spec.dy)
-    xs = _draw_side(spec.p_components, spec.p_cov, spec.dx, n, streams[: spec.dx])
-    ys = _draw_side(spec.q_components, spec.q_cov, spec.dy, n, streams[spec.dx :])
-    # an inf or nan in an index, or a spread too wide for a float, makes its variance non-finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = xs @ spec.alpha
-        v = ys @ spec.beta
-        spreads = np.var(u), np.var(v)
-    for side, spread, fields in (("x", spreads[0], "alpha/p_components"), ("y", spreads[1], "beta/q_components")):
-        if not math.isfinite(spread):
-            raise ValueError(f"{fields}: the {side}-side index overflows a float; rescale the weights or params")
-        if spread == 0.0:
-            raise DegenerateIndexError(f"{side}-side index has zero variance")
-    return MatchedSample(xs=np.take(xs, _coupling_order(u), axis=0), ys=np.take(ys, _coupling_order(v), axis=0))
+    # the x side is sorted before the y side is drawn, so one side's draws at most are held twice
+    xs = _sorted_side("x", "alpha/p_components", spec.p_components, spec.p_cov, spec.alpha, n, streams[: spec.dx])
+    ys = _sorted_side("y", "beta/q_components", spec.q_components, spec.q_cov, spec.beta, n, streams[spec.dx :])
+    return MatchedSample(xs=xs, ys=ys)
 
 
 def matching_value(pair_surplus: np.ndarray, perm) -> float:

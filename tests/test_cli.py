@@ -176,6 +176,22 @@ class TestConfig:
         path = write_config(tmp_path / "cfg.json", methods=["pca"])
         assert main(["estimate", "--config", str(path), "--sample", "x.csv"]) == 2
 
+    @pytest.mark.parametrize("command", ["estimate", "benchmark"])
+    def test_zero_restarts_without_a_grid_are_refused_before_any_file(self, tmp_path, capsys, command):
+        # a 3x2 market has neither the 1x1 signs nor the 2x1 angular grid, so
+        # spearman has no candidate without restarts; cca must not write first
+        market = {"dx": 3, "dy": 2, "alpha": [1.0, 1.0, 1.0], "beta": [1.0, 1.0],
+                  "p_gaussian_cov": np.eye(3).tolist(), "q_gaussian_cov": np.eye(2).tolist()}
+        cfg = write_config(tmp_path / "cfg.json", market=market, methods=["cca", "spearman"], sweep=[100],
+                           spearman={"restarts": 0})
+        sample = tmp_path / "sample.csv"
+        matchbench.simulate_market(matchbench.MarketSpec.from_json(market), 100, seed=0).to_csv(sample)
+        extra = ["--sample", str(sample)] if command == "estimate" else []
+        rc = main([command, "--config", str(cfg), *extra, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "spearman.restarts:" in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*"))
+
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -728,13 +744,14 @@ class TestEntryPoint:
         assert (tmp_path / "out" / "sample.csv").exists()
 
     def test_import_loads_no_scipy(self, fresh_python):
-        # only Gaussian tails and the Nelder-Mead search load it, so the other commands start without it
+        # only Gaussian tails load it, so every other command starts without it
         out = fresh_python("-c", "import sys, matchbench.cli; print(sorted(m for m in sys.modules "
                            "if m.split('.')[0] == 'scipy'))")
         assert out.strip() == "[]"
 
     def test_commands_off_gaussian_tails_load_no_scipy(self, tmp_path, fresh_python):
-        cfg = write_config(tmp_path / "cfg.json", affinity=[[0.6], [0.8]])
+        cfg = write_config(tmp_path / "cfg.json", affinity=[[0.6], [0.8]], sweep=[200],
+                           spearman={"restarts": 2})
         sample = str(tmp_path / "sim" / "sample.csv")
         runs = [
             ["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")],
@@ -742,6 +759,10 @@ class TestEntryPoint:
              "--out", str(tmp_path / "est")],
             ["counterexample", "--n", "1000", "--tol", "1e-6", "--out", str(tmp_path / "ce")],
             ["saliency", "--config", str(cfg), "--out", str(tmp_path / "sal")],
+            # the Nelder-Mead restarts of the spearman search run without scipy as well
+            ["estimate", "--config", str(cfg), "--sample", sample, "--methods", "spearman",
+             "--out", str(tmp_path / "spearman")],
+            ["benchmark", "--config", str(cfg), "--methods", "cca,ols,spearman", "--out", str(tmp_path / "ben")],
             ["counterexample", "--gaussian", "--n", "1000", "--tol", "1e-6", "--out", str(tmp_path / "gauss")],
         ]
         script = (
@@ -753,9 +774,9 @@ class TestEntryPoint:
         )
         loaded = [json.loads(line.removeprefix("loaded ")) for line in
                   fresh_python("-c", script, json.dumps(runs)).splitlines() if line.startswith("loaded ")]
-        assert loaded[:4] == [[]] * 4
+        assert loaded[:6] == [[]] * 6
         # the lazy import runs: the Gaussian market's tails load scipy.special
-        assert "scipy.special" in loaded[4]
+        assert "scipy.special" in loaded[6]
 
     @pytest.mark.parametrize("command", [["estimate", "--sample", "x.csv"], ["benchmark"]],
                              ids=["estimate", "benchmark"])

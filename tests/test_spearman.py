@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from matchbench import (
     DegenerateIndexError,
@@ -22,6 +23,7 @@ from matchbench.estimators import (
     _COARSE_CIRCLE,
     _EXACT_DOT_MAX_N,
     _exact_dot4,
+    _nelder_mead,
     _rank_product_mean,
     _unit_from_angles,
 )
@@ -286,3 +288,39 @@ def test_search_pinned_on_benchmark_market(seed):
     assert result.diagnostics["alpha_argmax"].tobytes().hex() == PINNED_ALPHA
     assert result.objective == PINNED_OBJECTIVE
     assert result.diagnostics["grid"]["refined_centers"] == PINNED_SEARCH[seed]
+
+
+def rosenbrock(x):
+    return sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
+
+
+COIN_SAMPLE = simulate_market(counterexample_market(), 40, seed=3)
+
+
+def coin_objective(params):
+    # the rank objective on 40 couples is a step function of the angle, so
+    # simplex vertices tie, and a converged simplex has tied values only
+    alpha = _unit_from_angles(params, 2)
+    return -_exact_dot4(average_ranks(COIN_SAMPLE.xs @ alpha), average_ranks(COIN_SAMPLE.ys[:, 0])) / (4 * 40 * 41**2)
+
+
+class TestNelderMead:
+    """``_nelder_mead`` returns scipy's Nelder-Mead result bit for bit."""
+
+    @pytest.mark.parametrize("f, x0, maxiter, converges", [
+        (coin_objective, [0.3], 400, True),
+        (coin_objective, [4.0], 400, True),
+        (rosenbrock, [-1.2, 1.0], 400, True),
+        (rosenbrock, [1.3, 0.7, 0.8], 1200, True),
+        (rosenbrock, [-1.2, 1.0, 0.5], 40, False),
+        (lambda x: float(np.floor(3.0 * x[0]) + np.floor(2.0 * x[1])), [0.7, -0.4], 400, True),
+        (rosenbrock, [0.0, 0.0], 400, True),
+    ], ids=["coin-ties", "coin-far-start", "rosenbrock-2d", "rosenbrock-3d", "rosenbrock-cut-at-maxiter",
+            "step-function", "zero-start"])
+    def test_matches_scipy(self, f, x0, maxiter, converges):
+        x, fun, nfev, nit, success = _nelder_mead(f, np.array(x0), xatol=1e-6, fatol=1e-10, maxiter=maxiter)
+        ref = minimize(f, np.array(x0), method="Nelder-Mead",
+                       options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": maxiter})
+        assert x.tobytes() == ref.x.tobytes()
+        assert (fun, nfev, nit, success) == (ref.fun, ref.nfev, ref.nit, ref.success)
+        assert success is converges
