@@ -108,8 +108,10 @@ class ExperimentConfig:
                               "got 0 (only 1x1 and 2x1 markets search without restarts)")
         if not isinstance(self.sweep, (list, tuple)):
             raise ConfigError(f"sweep: must be a list of sample sizes, got {self.sweep!r}")
-        for size in self.sweep:
+        for k, size in enumerate(self.sweep):
             _count("sweep", size, 2)
+            if size in self.sweep[:k]:
+                raise ConfigError(f"sweep: sample sizes must be distinct, got {size} more than once")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir: must be a string, got {self.out_dir!r}")
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -490,6 +492,9 @@ def main(argv=None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except MatchbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -454,46 +454,17 @@ def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) 
     )
 
 
-def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
-    """term(lo) + ... + term(hi - 1), added in the order np.sum adds a
-    contiguous axis: in sequence below 8 terms, else numpy's pairwise
-    summation (8 interleaved partial sums, halved above 128 terms). The sum
-    may overwrite any term and builds up in term(lo)'s array, which it
-    returns. Below 8 terms each later term is added in before the next is
-    formed, so those terms may share one array."""
-    count = hi - lo
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        total = _pairwise_sum(term, lo, lo + half)
-        total += _pairwise_sum(term, lo + half, hi)
-        return total
-    if count < 8:
-        total = term(lo)
-        for j in range(lo + 1, hi):
-            total += term(j)
-        return total
-    tail = hi - count % 8
-    partial = [term(lo + k) for k in range(8)]
-    for j in range(lo + 8, tail):
-        partial[(j - lo) % 8] += term(j)
-    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-        partial[a] += partial[b]
-    for j in range(tail, hi):
-        partial[0] += term(j)
-    return partial[0]
-
-
 def kernel_regression(sample: MatchedSample, points, bandwidths) -> np.ndarray:
     """Nadaraya-Watson fit of y1 on all x attributes with a product
     Gaussian kernel, evaluated at the given points.
 
-    Works one x column at a time, with the arithmetic of summing a
-    (points, n, dx) array of squared scaled distances, and sums each row
-    with numpy's pairwise sum, never BLAS, so every output depends on its
-    own point alone, bit for bit: not on the block rows, the worker count
-    or the BLAS threads. Blocks of points go to ``WORKERS`` threads, which
-    share a budget of 2e6 weights; each forms its block in one buffer a
-    column tile at a time, so the elementwise work stays in cache.
+    Works one x column at a time, adding the squared scaled distances in
+    attribute order, and sums each row with numpy's pairwise sum, never
+    BLAS, so every output depends on its own point alone, bit for bit: not
+    on the block rows, the worker count or the BLAS threads. Blocks of
+    points go to ``WORKERS`` threads, which share a budget of 2e6 weights;
+    each forms its block in one buffer a column tile at a time, so the
+    elementwise work stays in cache.
     """
     cols = np.ascontiguousarray(sample.xs.T)
     dx, n = cols.shape
@@ -515,10 +486,9 @@ def kernel_regression(sample: MatchedSample, points, bandwidths) -> np.ndarray:
     # malloc arena took stays in the process.
     buffers = np.empty((workers, rows, n))
     # The sum of squares builds up in the weights, which hold the first
-    # term; below 8 terms numpy adds in sequence, so each later term is
-    # formed in a spare tile and added straight in. From 8 terms on its
-    # pairwise order keeps partial sums, in fresh tile-sized arrays.
-    spares = np.empty((workers, rows, width)) if 1 < dx < 8 else [None] * workers
+    # column's term; each later column's term is formed in a spare tile and
+    # added straight in, in attribute order.
+    spares = np.empty((workers, rows, width if dx > 1 else 0))
 
     def fit(first: int) -> None:
         weights, spare = buffers[first], spares[first]
@@ -528,15 +498,13 @@ def kernel_regression(sample: MatchedSample, points, bandwidths) -> np.ndarray:
             peak = np.full(block.shape[0], -np.inf)
             for tile in tiles:
                 part = w[:, tile]
-                later = None if spare is None else spare[: part.shape[0], : part.shape[1]]
-
-                def scaled_square(j):
-                    z = np.subtract(block[:, j, None], cols[j, tile], out=part if j == 0 else later)
+                later = spare[: part.shape[0], : part.shape[1]]
+                for j in range(dx):
+                    z = np.subtract(block[:, j, None], cols[j, tile], out=later if j else part)
                     z /= h[j]
                     z *= z
-                    return z
-
-                _pairwise_sum(scaled_square, 0, dx)
+                    if j:
+                        part += z
                 part *= -0.5
                 np.maximum(peak, part.max(axis=1), out=peak)
             for tile in tiles:

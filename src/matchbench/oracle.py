@@ -137,19 +137,20 @@ def quad_integrate(f: Callable, weight: DistributionModel, tol: float,
         value = core(f, 0.0, 1.0, tol)
     else:
         integrand = lambda z: np.asarray(f(z), dtype=float) * weight.pdf(z)
+        # the exponential is cut in one tail, the gaussian in two
+        tail_mass = tol / (10.0 if weight.kind == "exponential" else 20.0)
+        if 1.0 - tail_mass == 1.0:
+            raise ValueError(f"tol: {tol!r} is too small for the {weight.kind} tail cut, "
+                             f"since 1 - {tail_mass!r} rounds to 1")
+        zmax = weight.quantile(1.0 - tail_mass)
         if weight.kind == "exponential":
-            rate = weight.param
-            tail_mass = tol / 10.0
-            zmax = weight.quantile(1.0 - tail_mass)
             body = core(integrand, 0.0, zmax, 0.8 * tol)
             # memoryless excess: the tail's conditional mean sits 1/rate past zmax
-            value = body + tail_mass * at(zmax + 1.0 / rate)
+            value = body + tail_mass * at(zmax + 1.0 / weight.param)
         else:  # gaussian
             sd = weight.param
-            tail_mass = tol / 20.0
-            zhi = weight.quantile(1.0 - tail_mass)
-            body = core(integrand, -zhi, zhi, 0.8 * tol)
-            cond_mean = sd * weight.pdf(zhi) * sd / tail_mass  # sd^2 * pdf / mass, Mills ratio
+            body = core(integrand, -zmax, zmax, 0.8 * tol)
+            cond_mean = sd * weight.pdf(zmax) * sd / tail_mass  # sd^2 * pdf / mass, Mills ratio
             value = body + tail_mass * at(cond_mean) + tail_mass * at(-cond_mean)
     return float(value) if np.ndim(value) == 0 else value
 

@@ -616,9 +616,12 @@ class TestCounterexampleCommand:
         assert f"{flag}: must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "counterexample.json").exists()
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
-    def test_rejects_non_finite_or_non_positive_tol(self, tmp_path, capsys, tol):
-        rc = main(["counterexample", f"--tol={tol}", "--out", str(tmp_path)])
+    # 1e-17, and 1e-15 on the gaussian market, are too small for the quadrature's tail cut
+    @pytest.mark.parametrize("tol, flags", [("nan", []), ("inf", []), ("0", []), ("-1e-9", []), ("1e-17", []),
+                                            ("1e-15", ["--gaussian"])],
+                             ids=["nan", "inf", "0", "-1e-9", "1e-17", "gaussian-1e-15"])
+    def test_rejects_non_finite_or_non_positive_tol(self, tmp_path, capsys, tol, flags):
+        rc = main(["counterexample", *flags, f"--tol={tol}", "--out", str(tmp_path)])
         assert rc == 2
         assert "tol" in capsys.readouterr().err
         assert not (tmp_path / "counterexample.json").exists()
@@ -658,6 +661,14 @@ class TestBenchmark:
         assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
         rows = (out / "benchmark.csv").read_text().splitlines()
         assert rows[1].split(",")[4] == ""
+
+    def test_repeated_sweep_size_refused(self, tmp_path, capsys):
+        # a repeated size wrote its summary row twice and repeated every (method, n, replication) key
+        cfg = write_config(tmp_path / "cfg.json", sweep=[500, 200, 500], replications=4, methods=["cca"])
+        out = tmp_path / "o"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "sweep: sample sizes must be distinct, got 500 more than once" in capsys.readouterr().err
+        assert not (out / "benchmark.csv").exists() and not (out / "benchmark_long.csv").exists()
 
     def test_requires_sweep(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -738,6 +749,16 @@ class TestSaliencyCommand:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("command", ["simulate", "counterexample"])
+    def test_unallocatable_size_exits_3_without_a_traceback(self, tmp_path, capsys, command):
+        # 1e15 draws ask for 14 PiB, beyond any address space, so the allocation fails at once
+        config = ["--config", str(write_config(tmp_path / "cfg.json"))] if command == "simulate" else []
+        out = tmp_path / "o"
+        assert main([command, *config, "--n", str(10**15), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not out.exists() or not any(out.iterdir())
+
     def test_module_invocation(self, tmp_path, fresh_python):
         cfg = write_config(tmp_path / "cfg.json", n=100)
         fresh_python("-m", "matchbench", "simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))

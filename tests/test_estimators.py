@@ -27,7 +27,7 @@ from matchbench import (
     uniform01,
 )
 from matchbench import estimators
-from matchbench.estimators import _derivatives_at, _mrs_design, _pairwise_sum, kernel_regression
+from matchbench.estimators import _derivatives_at, _mrs_design, kernel_regression
 from matchbench.market import MarketSpec
 
 E2 = math.exp(-2.0)
@@ -343,11 +343,23 @@ def broadcast_kernel_regression(sample, points, bandwidths):
     for start in range(0, pts.shape[0], chunk):
         block = pts[start : start + chunk]
         z = (block[:, None, :] - X[None, :, :]) / h
-        logw = -0.5 * np.sum(z * z, axis=2)
+        sq = z * z
+        # in attribute order, as the fit adds them; np.sum would add 8 or more pairwise
+        logw = -0.5 * sum(sq[..., j] for j in range(X.shape[1]))
         logw -= logw.max(axis=1, keepdims=True)
         w = np.exp(logw)
         out[start : start + chunk] = (w * y).sum(axis=1) / w.sum(axis=1)
     return out
+
+
+def traced_peak(fn, *args):
+    """The peak of the memory tracemalloc traces while ``fn(*args)`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestKernelRegression:
@@ -362,6 +374,7 @@ class TestKernelRegression:
 
     @pytest.mark.parametrize("dx", [8, 9, 17])
     def test_bit_identical_where_numpy_sums_pairwise(self, rng, dx):
+        # np.sum over 8 or more attributes adds pairwise; the fit keeps attribute order
         sample = random_sample(rng, n=2_000, dx=dx, dy=1)
         points = rng.normal(size=(4, dx))
         h = 3.0 * sample.xs.std(axis=0)
@@ -400,21 +413,24 @@ class TestKernelRegression:
         sample = random_sample(rng, n=n, dx=2, dy=1)
         points = rng.normal(size=(400, 2))
         h = 1.06 * sample.xs.std(axis=0) * n ** -0.2
-        tracemalloc.start()
-        try:
-            kernel_regression(sample, points, h)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(kernel_regression, sample, points, h)
         # keeping the previous block's weights while forming the next took
         # 3.1 blocks, and a second block-sized buffer for the later terms 2.1
         assert peak <= 1.3 * chunk * n * 8
 
-    @pytest.mark.parametrize("count", [1, 7, 8, 9, 16, 23, 128, 129, 130, 300])
-    def test_pairwise_sum_adds_in_numpy_order(self, rng, count):
-        terms = rng.normal(size=(3, 40, count)) ** 2
-        total = _pairwise_sum(lambda j: terms[..., j].copy(), 0, count)
-        assert np.array_equal(total, np.sum(terms, axis=2))
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_many_attributes_share_one_block_of_weights(self, rng, monkeypatch, workers):
+        # n = 1e5 at dx = 9: the workers share a budget of 20 rows of weights,
+        # whatever their count, and each adds its later columns in one spare tile
+        n, chunk, dx = 100_000, 20, 9
+        sample = random_sample(rng, n=n, dx=dx, dy=1)
+        points = rng.normal(size=(40, dx))
+        h = 1.06 * sample.xs.std(axis=0) * n ** -0.2
+        monkeypatch.setattr(estimators, "WORKERS", workers)
+        peak = traced_peak(kernel_regression, sample, points, h)
+        # less the transposed copy of xs; numpy's pairwise order of 9 terms,
+        # with 8 partial sums per worker, took 1.67 blocks
+        assert peak - dx * n * 8 <= 1.2 * chunk * n * 8
 
     @pytest.mark.parametrize("points", [[[0.1], [0.2]], [0.1, 0.2, 0.3], np.zeros((2, 2, 2))],
                              ids=["one_column", "three_values", "three_dims"])

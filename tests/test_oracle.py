@@ -124,6 +124,13 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="tol"):
             quad_integrate(lambda z: z, exponential(1.0), tol)
 
+    @pytest.mark.parametrize("weight, tol", [(exponential(1.0), 5.5e-16), (gaussian(1.0), 1.1e-15)],
+                             ids=["exponential", "gaussian"])
+    def test_rejects_tolerance_whose_tail_cut_rounds_away(self, weight, tol):
+        # the cut keeps 1 - tol/10 (exponential) or 1 - tol/20 (gaussian) of the mass, which rounds to 1 here
+        with pytest.raises(ValueError, match=f"tol: {tol!r} is too small"):
+            quad_integrate(lambda z: z, weight, tol)
+
     def test_vector_valued_integrand(self):
         d = gaussian(1.5)
         got = quad_integrate(lambda z: np.stack([np.ones_like(z), z, z**2]), d, 1e-10)
