@@ -40,10 +40,10 @@ from .market import (
 from .oracle import (
     CounterexampleReport,
     closed_form_counterexample,
-    counterexample_expectations,
     monte_carlo_counterexample,
     numeric_counterexample,
     quad_integrate,
+    quadrature_counterexample,
 )
 from .saliency import (
     AffinityDecomposition,

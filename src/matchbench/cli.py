@@ -37,7 +37,7 @@ from .oracle import (
     closed_form_counterexample,
     monte_carlo_counterexample,
     numeric_counterexample,
-    quadrature_expectations,
+    quadrature_counterexample,
     simulated_monte_carlo,
 )
 from .saliency import rank1_weights, svd_decompose
@@ -157,10 +157,12 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def write_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -185,10 +187,8 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def _out_dir(args, config: ExperimentConfig | None = None) -> Path:
-    out = args.out or (config.out_dir if config else None) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory, which the first file written into it creates."""
+    return Path(args.out or (config.out_dir if config else None) or ".")
 
 
 def _sample_summary(sample: MatchedSample, spec: MarketSpec, seed: int) -> dict:
@@ -211,6 +211,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args, config)
     sample = simulate_market(config.market, config.n, config.seed)
     sample_path = out / "sample.csv"
+    out.mkdir(parents=True, exist_ok=True)
     sample.to_csv(sample_path)
     write_json(out / "summary.json", _sample_summary(sample, config.market, config.seed))
     print(f"wrote {sample_path} ({sample.n} couples) and {out / 'summary.json'}")
@@ -287,9 +288,7 @@ def cmd_counterexample(args) -> int:
     else:
         spec = counterexample_market()
         closed = closed_form_counterexample()
-        quad = numeric_counterexample(spec, tol)
-        # the named expectation terms exist for the benchmark market only
-        quad = replace(quad, expectation_terms=quadrature_expectations(tol, quad.diagnostics))
+        quad = quadrature_counterexample(tol)
         mc = monte_carlo_counterexample(n, seed)
 
     def within(a: float, b: float, band: float) -> bool:

@@ -241,18 +241,13 @@ _SYMBOLIC = {
 }
 
 
-def counterexample_expectations() -> dict[str, float]:
-    """Exact values of the benchmark's named expectation terms (``_TERMS``)."""
-    return {key: exact for key, _, exact, _ in _TERMS}
-
-
 def closed_form_counterexample() -> CounterexampleReport:
     return CounterexampleReport(
         cov_x1=(1.0 - _E2) / 4.0,
         cov_x2=(3.0 * _E2 + 1.0) / 8.0,
         ratio_cca=(3.0 + math.exp(2.0)) / (2.0 * math.exp(2.0) - 2.0),
         ratio_true=1.0,
-        expectation_terms=counterexample_expectations(),
+        expectation_terms={key: exact for key, _, exact, _ in _TERMS},
         method="closed_form",
         symbolic=_SYMBOLIC,
     )
@@ -358,26 +353,14 @@ def _mean_over(spec: MarketSpec, fn: Callable, tol: float, stats: QuadratureStat
     return quad_integrate(outer, d1, tol, stats)
 
 
-def quadrature_expectations(tol: float, stats: QuadratureStats | None = None) -> dict[str, float]:
-    """Numerical counterparts of the exact expectations, same keys, with the
-    matched outcome read off the benchmark market's population transfer map."""
-    spec = counterexample_market()
-    a1, a2 = float(spec.alpha[0]), float(spec.alpha[1])
-    tmap = population_transfer_map(spec, tol, stats)
-    return {
-        key: quad_integrate(fn, spec.p_components[1], tol, stats) if fn is not None
-        else _mean_over(spec, lambda x1, x2: x2 * tmap(a1 * x1 + a2 * x2), tol, stats)
-        for key, fn, _, _ in _TERMS
-    }
-
-
-def numeric_counterexample(spec: MarketSpec, tol: float) -> CounterexampleReport:
+def numeric_counterexample(spec: MarketSpec, tol: float, terms=()) -> CounterexampleReport:
     """Quadrature version of the weight-ratio diagnosis for any two-attribute
     market with independent components and a scalar y side.
 
     cov(X_i, T) is integrated over atoms and panels of the population
-    transfer map T; the report's diagnostics count the panels. Its
-    expectation terms are empty (see ``quadrature_expectations``).
+    transfer map T; the report's diagnostics count the panels. ``terms``
+    rows (see ``_TERMS``) are integrated over X2; a row without an integrand
+    is E[X2 T], which the covariances already integrate.
     """
     stats = QuadratureStats()
     tmap = population_transfer_map(spec, tol, stats)
@@ -386,9 +369,16 @@ def numeric_counterexample(spec: MarketSpec, tol: float) -> CounterexampleReport
     mean_t = _mean_over(spec, lambda x1, x2: tmap(a1 * x1 + a2 * x2), tol, stats)
     mean_x1t = _mean_over(spec, lambda x1, x2: x1 * tmap(a1 * x1 + a2 * x2), tol, stats)
     mean_x2t = _mean_over(spec, lambda x1, x2: x2 * tmap(a1 * x1 + a2 * x2), tol, stats)
+    means = {key: mean_x2t if fn is None else quad_integrate(fn, d2, tol, stats) for key, fn, _, _ in terms}
     cov_x1 = mean_x1t - d1.mean() * mean_t
     cov_x2 = mean_x2t - d2.mean() * mean_t
-    return CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "quadrature", diagnostics=stats)
+    return CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "quadrature", means, diagnostics=stats)
+
+
+def quadrature_counterexample(tol: float) -> CounterexampleReport:
+    """Quadrature column for the benchmark market: its covariances and
+    named expectation terms over the population transfer map."""
+    return numeric_counterexample(counterexample_market(), tol, _TERMS)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:

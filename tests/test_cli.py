@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matchbench
-from matchbench import ConfigError, MatchedSample
+from matchbench import ConfigError, MatchedSample, oracle
 from matchbench.cli import _apply_overrides, build_parser, load_config, main
 from matchbench.distributions import KINDS
 
@@ -567,8 +567,8 @@ class TestCounterexampleCommand:
     def test_quadrature_counters_and_benchmark_terms(self, tmp_path):
         assert main(["counterexample", "--tol", "1e-9", "--n", "20000", "--out", str(tmp_path / "a")]) == 0
         quad = json.loads((tmp_path / "a" / "counterexample.json").read_text())["quadrature"]
-        assert quad["diagnostics"] == {"panels": 353, "max_depth": 25}
-        assert sorted(quad["expectation_terms"]) == sorted(matchbench.counterexample_expectations())
+        assert quad["diagnostics"] == {"panels": 295, "max_depth": 25}
+        assert sorted(quad["expectation_terms"]) == sorted(matchbench.closed_form_counterexample().expectation_terms)
         assert main(["counterexample", "--gaussian", "--tol", "1e-8", "--n", "2000",
                      "--out", str(tmp_path / "g")]) == 0
         quad = json.loads((tmp_path / "g" / "counterexample.json").read_text())["quadrature"]
@@ -577,13 +577,21 @@ class TestCounterexampleCommand:
     # the whole counterexample.json, its closed-form, quadrature and Monte
     # Carlo blocks included, bit for bit
     @pytest.mark.parametrize("flags, sha256", [
-        (["--tol", "1e-9", "--n", "20000"], "69203b1eb635dd7f1c66537e6557cec52fe75ab392a10b1b03a4493217ec51f0"),
+        (["--tol", "1e-9", "--n", "20000"], "5215c98561f6dd70ace4c931f1001ad8ba8915d49dd1b9fda354ed162f9e6de5"),
         (["--gaussian", "--tol", "1e-8", "--n", "2000"],
          "f085bea13640a44c0b77464380b08cc49deb645c110362386e1d1f0017ad6674"),
     ], ids=["benchmark", "gaussian"])
     def test_output_bytes_are_pinned(self, tmp_path, flags, sha256):
         assert main(["counterexample", *flags, "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "counterexample.json").read_bytes()).hexdigest() == sha256
+
+    def test_benchmark_market_builds_one_transfer_map(self, tmp_path, monkeypatch):
+        # the covariances and the named expectation terms share one quadrature run
+        built = []
+        monkeypatch.setattr(oracle, "population_transfer_map",
+                            lambda *args, real=oracle.population_transfer_map: built.append(args) or real(*args))
+        assert main(["counterexample", "--tol", "1e-6", "--n", "2000", "--out", str(tmp_path)]) == 0
+        assert len(built) == 1
 
     def test_zero_monte_carlo_covariance_exits_3(self, tmp_path, capsys):
         # the two draws of seed 2 share a coin value, so the sample cov_x1 is 0
@@ -621,10 +629,11 @@ class TestCounterexampleCommand:
                                             ("1e-15", ["--gaussian"])],
                              ids=["nan", "inf", "0", "-1e-9", "1e-17", "gaussian-1e-15"])
     def test_rejects_non_finite_or_non_positive_tol(self, tmp_path, capsys, tol, flags):
-        rc = main(["counterexample", *flags, f"--tol={tol}", "--out", str(tmp_path)])
+        rc = main(["counterexample", *flags, f"--tol={tol}", "--out", str(tmp_path / "o1")])
         assert rc == 2
         assert "tol" in capsys.readouterr().err
-        assert not (tmp_path / "counterexample.json").exists()
+        # a refused command makes no output directory
+        assert not (tmp_path / "o1").exists()
 
 
 def benchmark_at_cpu_counts(cfg, tmp_path, monkeypatch, counts):
@@ -757,7 +766,7 @@ class TestEntryPoint:
         assert main([command, *config, "--n", str(10**15), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_module_invocation(self, tmp_path, fresh_python):
         cfg = write_config(tmp_path / "cfg.json", n=100)

@@ -5,7 +5,8 @@ module-level name (constant, function or class) it defines.
 ``__init__.py`` is left out of that check, since its imports are the public
 re-exports. Those get their own: each must be loaded by the package itself,
 by the benchmark harness or by the acceptance criteria, not by unit tests
-alone.
+alone. So must every public module-level function and class, and every
+public method, that the package defines.
 """
 
 import ast
@@ -78,16 +79,39 @@ def re_exports(init_source: str) -> list[str]:
             for alias in node.names]
 
 
-def unreached_exports(init_source: str, consumer_sources: list[str]) -> list[str]:
-    """Re-exported names that no consumer loads, as a name or an attribute."""
+def loaded_names(sources: list[str]) -> set[str]:
+    """Names the sources load, as a name or an attribute."""
     loaded = set()
-    for source in consumer_sources:
+    for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
+    return loaded
+
+
+def unreached_exports(init_source: str, consumer_sources: list[str]) -> list[str]:
+    """Re-exported names that no consumer loads, as a name or an attribute."""
+    loaded = loaded_names(consumer_sources)
     return [name for name in re_exports(init_source) if name not in loaded]
+
+
+def public_defs(source: str) -> list[str]:
+    """Public module-level functions and classes, and the public methods of those classes."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [m.name for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [name for name in names if not name.startswith("_")]
+
+
+def unreached_defs(sources: list[str], consumer_sources: list[str]) -> list[str]:
+    """Public defs of ``sources`` that no consumer loads, as a name or an attribute."""
+    loaded = loaded_names(consumer_sources)
+    return [name for source in sources for name in public_defs(source) if name not in loaded]
 
 
 def test_every_re_export_is_reached_outside_unit_tests():
@@ -116,3 +140,24 @@ def test_guard_flags_unreached_exports():
     assert unreached_exports(init_source, consumers) == [
         "consistency_condition", "counterexample_population_moments", "surplus", "normalize_attributes",
     ]
+
+
+def test_every_public_def_is_reached_outside_unit_tests():
+    sources = [path.read_text() for path in SOURCES]
+    assert unreached_defs(sources, [path.read_text() for path in CONSUMERS]) == []
+
+
+def test_guard_flags_unreached_defs():
+    source = (
+        "def simulate(n):\n    return _draw(n)\n"
+        "def quadrature_expectations(tol):\n    return {}\n"
+        "def _draw(n):\n    return n\n"
+        "class Report:\n"
+        "    def to_json_dict(self):\n        return {}\n"
+        "    def summary(self):\n        return self.to_json_dict()\n"
+        "    def to_csv(self, path):\n        pass\n"
+        "    def __repr__(self):\n        return 'Report'\n"
+    )
+    # defining a name does not count as loading it, and private names are left to the first guard
+    consumers = [source, "report = Report()\nreport.summary()\nsimulate(3)\n"]
+    assert unreached_defs([source], consumers) == ["quadrature_expectations", "to_csv"]

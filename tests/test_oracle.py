@@ -13,7 +13,6 @@ from matchbench import (
     NumericalError,
     QuadratureConvergenceError,
     closed_form_counterexample,
-    counterexample_expectations,
     counterexample_market,
     exponential,
     gaussian,
@@ -21,6 +20,7 @@ from matchbench import (
     numeric_counterexample,
     population_moments_gaussian,
     quad_integrate,
+    quadrature_counterexample,
     rademacher,
     uniform01,
 )
@@ -28,7 +28,6 @@ from matchbench import oracle
 from matchbench.oracle import (
     QuadratureStats,
     population_transfer_map,
-    quadrature_expectations,
     simulated_monte_carlo,
 )
 
@@ -48,7 +47,7 @@ class TestClosedForms:
         assert abs(report.ratio_cca * report.cov_x1 - report.cov_x2) <= 1e-12
 
     def test_expectation_terms(self):
-        terms = counterexample_expectations()
+        terms = closed_form_counterexample().expectation_terms
         assert terms["mean_x_cdf_shift0"] == 0.75
         assert abs(terms["mean_x_matched_outcome"] - (3.0 * E2 + 5.0) / 8.0) <= 1e-15
         assert abs(terms["mean_cdf_shift_plus2"] - (1.0 - E2 / 2.0)) <= 1e-15
@@ -151,8 +150,8 @@ class TestQuadrature:
             quad_integrate(lambda z: 1.0 / z, uniform01(), 1e-10)
 
     def test_terms_match_closed_forms(self):
-        closed = counterexample_expectations()
-        quad = quadrature_expectations(1e-9)
+        closed = closed_form_counterexample().expectation_terms
+        quad = quadrature_counterexample(1e-9).expectation_terms
         for key, value in closed.items():
             assert abs(quad[key] - value) <= 1e-9, key
 
@@ -164,7 +163,7 @@ class TestNumericCounterexample:
         assert abs(report.ratio_cca - expected) <= 1e-6
         assert abs(report.cov_x1 - (1.0 - E2) / 4.0) <= 1e-8
         assert abs(report.cov_x2 - (3.0 * E2 + 1.0) / 8.0) <= 1e-8
-        # the benchmark's named terms come from quadrature_expectations (TestQuadrature)
+        # the benchmark's named terms are integrated only when asked for (quadrature_counterexample)
         assert report.expectation_terms == {}
 
     def test_gaussian_market_is_consistent(self):
@@ -203,15 +202,14 @@ class TestNumericCounterexample:
 class TestTripleAgreement:
     def test_all_three_routes_agree(self):
         closed = closed_form_counterexample()
-        quad = numeric_counterexample(counterexample_market(), 1e-9)
-        quad_terms = quadrature_expectations(1e-9)
+        quad = quadrature_counterexample(1e-9)
         mc = monte_carlo_counterexample(1_000_000, seed=99)
         assert abs(quad.cov_x1 - closed.cov_x1) <= 1e-8
         assert abs(quad.cov_x2 - closed.cov_x2) <= 1e-8
         assert abs(mc.cov_x1 - closed.cov_x1) <= 3 * mc.stderrs["cov_x1"]
         assert abs(mc.cov_x2 - closed.cov_x2) <= 3 * mc.stderrs["cov_x2"]
         for key, value in closed.expectation_terms.items():
-            assert abs(quad_terms[key] - value) <= 1e-8, key
+            assert abs(quad.expectation_terms[key] - value) <= 1e-8, key
             assert abs(mc.expectation_terms[key] - value) <= 3 * mc.stderrs[key], key
 
     def test_monte_carlo_deterministic(self):
@@ -304,6 +302,30 @@ class TestGenericBranch:
         assert report.cov_x2 == pytest.approx(covs[1], abs=1e-8)
 
 
+class TestRelabeling:
+    """Which continuous attribute is called X1 is a label: swapping the two,
+    with their weights, swaps cov_x1 and cov_x2."""
+
+    @pytest.mark.parametrize("first, second, alpha", [
+        (uniform01(), exponential(1.0), (0.6, 0.8)),
+        (gaussian(1.0), uniform01(), (0.6, 0.8)),
+        (exponential(1.0), uniform01(), (1.0, 3e-4)),
+        pytest.param(uniform01(), exponential(1.0), (1.0, 3e-4), marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="a narrow a2*X2 beside a uniform X1 converges to a wrong value; ROADMAP direction 1 mends it")),
+    ], ids=["uniform+exp", "gaussian+uniform", "exp+uniform-a2=3e-4", "uniform+exp-a2=3e-4"])
+    def test_swapping_the_attributes_swaps_the_covariances(self, first, second, alpha):
+        tol = 1e-6
+
+        def report(components, weights):
+            return numeric_counterexample(MarketSpec(dx=2, dy=1, alpha=list(weights), beta=[1.0],
+                                                     p_components=components, q_components=(gaussian(0.7),)), tol)
+
+        given, swapped = report((first, second), alpha), report((second, first), alpha[::-1])
+        assert abs(given.cov_x1 - swapped.cov_x2) <= 10 * tol
+        assert abs(given.cov_x2 - swapped.cov_x1) <= 10 * tol
+
+
 def coin_market(alpha, second, y_side) -> MarketSpec:
     return MarketSpec(dx=2, dy=1, alpha=alpha, beta=[1.0],
                       p_components=(rademacher(), second), q_components=(y_side,))
@@ -365,9 +387,8 @@ class TestCoinPath:
         assert stats.panels == 0
 
     def test_benchmark_expectation_terms_are_pinned(self):
-        stats = QuadratureStats()
-        terms = quadrature_expectations(1e-9, stats)
-        assert {key: repr(value) for key, value in terms.items()} == {
+        report = quadrature_counterexample(1e-9)
+        assert {key: repr(value) for key, value in report.expectation_terms.items()} == {
             "mean_cdf_shift_plus2": "0.9323323583816909",
             "mean_cdf_shift_minus2": "0.06766764161830616",
             "mean_x_cdf_shift_minus2": "0.23683674566407126",
@@ -375,7 +396,8 @@ class TestCoinPath:
             "mean_x_cdf_shift0": "0.7499999999999976",
             "mean_x_matched_outcome": "0.6757507312137275",
         }
-        assert (stats.panels, stats.max_depth) == (183, 25)
+        # the covariances' panels included, since the matched outcome's term is their E[X2 T] pass
+        assert (report.diagnostics.panels, report.diagnostics.max_depth) == (295, 25)
 
     # with the coin at weight 1 and Exp(1) second, a2 = 1e-14 gave cov_x1 0.627
     # after 7 s and a2 <= 1e-18 gave 13.46 at once (the truth is 0.5585)
@@ -408,7 +430,9 @@ def laws(kinds):
 CONTINUOUS = ("gaussian", "exponential", "uniform01")
 # the exact axis weights, and 72 directions at least 2.5 degrees off the axes:
 # with a2 nearer 0, a coin market's index is almost atomic and the quadrature
-# slow (about 0.7 s at a2 = 1e-5, just above where it is refused)
+# slow (about 0.7 s at a2 = 1e-5, just above where it is refused), and on a
+# uniform first attribute the quadrature is slow and wrong (TestRelabeling's
+# xfail row, ROADMAP known defects)
 WEIGHTS = st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]) | st.integers(0, 71).map(
     lambda k: (math.cos((k + 0.5) * math.pi / 36), math.sin((k + 0.5) * math.pi / 36)))
 
