@@ -278,18 +278,19 @@ def cmd_counterexample(args) -> int:
     _count("--seed", seed, 0)
     out = _out_dir(args)
 
+    # Monte Carlo first: a --n too large to allocate fails before any quadrature runs
     if args.gaussian:
         spec = _gaussian_comparison_market()
+        mc = simulated_monte_carlo(spec, n, seed)
         # the transfer map is linear, so cov(X, T) is the population Sxy times beta
         cov_x1, cov_x2 = population_moments_gaussian(spec).Sxy @ spec.beta
         closed = CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "closed_form")
         quad = numeric_counterexample(spec, tol)
-        mc = simulated_monte_carlo(spec, n, seed)
     else:
         spec = counterexample_market()
+        mc = monte_carlo_counterexample(n, seed)
         closed = closed_form_counterexample()
         quad = quadrature_counterexample(tol)
-        mc = monte_carlo_counterexample(n, seed)
 
     def within(a: float, b: float, band: float) -> bool:
         return bool(abs(a - b) <= band)

@@ -339,8 +339,101 @@ def _ranker(columns: np.ndarray):
     return lambda w: single if w[0] > 0 else (columns.shape[0] + 1) - single
 
 
+def _comonotone_arc(sample: MatchedSample) -> tuple[float, float] | None:
+    """The open arc (lo, hi) of angles t at which the x index
+    cos(t) x1 + sin(t) x2 of a dx=2, dy=1 sample rises strictly in y order,
+    or None when that set is empty.
+
+    There, and only there, the x ranks equal the y ranks, so the
+    rank-product objective at beta = (1,) reaches ``spearman_upper_bound``:
+    the arc is the whole argmax set of a comonotone sample. It needs every
+    difference d of x between rows adjacent in y order to satisfy
+    (cos t, sin t) . d > 0. Such a t is within pi/2 of the direction r from
+    the lowest-y row to the highest, which is the sum of the d's, so every
+    d lies within pi of r and the arc is read off the angles of the d's
+    relative to r with no wrap-around. A tie in y, a zero difference or a
+    zero r leaves the set empty.
+    """
+    y = sample.ys[:, 0]
+    order = np.argsort(y, kind="stable")
+    ranked = y[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        return None
+    del ranked
+    # one n-vector at a time, with no n x 2 copy of the sorted rows
+    diffs = []
+    for j in range(2):
+        col = sample.xs[order, j]
+        diffs.append((np.diff(col), col[-1] - col[0]))
+        del col
+    (d0, r0), (d1, r1) = diffs
+    if (r0 == 0.0 and r1 == 0.0) or np.any((d0 == 0.0) & (d1 == 0.0)):
+        return None
+    # atan2(r x d, r . d), formed in place
+    cross = r0 * d1
+    cross -= r1 * d0
+    d0 *= r0
+    d1 *= r1
+    d0 += d1
+    rel = np.arctan2(cross, d0, out=cross)
+    ref = math.atan2(r1, r0)
+    lo = ref + float(rel.max()) - 0.5 * math.pi
+    hi = ref + float(rel.min()) + 0.5 * math.pi
+    # also None on a nan, which the search then refuses by name
+    return (lo, hi) if lo < hi else None
+
+
+def _bound_dot4(n: int) -> int:
+    """``spearman_upper_bound(n)`` in exact dot units: 4 * sum of i^2 over 1..n."""
+    return 2 * n * (n + 1) * (2 * n + 1) // 3
+
+
 def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) -> EstimatorResult:
     """Maximize the rank-product objective over unit weight vectors.
+
+    On a dx=2, dy=1 sample the comonotone arc comes first: one sort of y
+    gives the open arc of x angles on which the objective attains
+    ``spearman_upper_bound(n)`` (``_comonotone_arc``). When that arc is
+    not empty, its midpoint is evaluated once, exactly; if the value is
+    the bound, the midpoint is the estimate, with ``argmax_interval``
+    (lo, hi, width) in the diagnostics and ``objective_evaluations`` 1.
+    Every other sample, and every other shape, goes to ``_rank_search``,
+    whose result is returned unchanged: the grid and Nelder-Mead restarts,
+    with ``argmax_interval`` None. Both paths report ``gap``, the bound
+    minus the objective in exact units of 1 / (4 n (n + 1)^2): 0 exactly
+    when the estimate is a maximizer of a sample with no ties in y.
+    """
+    arc = _comonotone_arc(sample) if (sample.dx, sample.dy) == (2, 1) else None
+    if arc is not None:
+        lo, hi = arc
+        mid = 0.5 * (lo + hi)
+        alpha, beta = _unit_from_angles(np.array([mid]), 2), np.array([1.0])
+        dot = _exact_dot4(average_ranks(sample.x_index(alpha)), average_ranks(sample.ys[:, 0]))
+        # the check that makes the midpoint an exact maximizer, not a float guess
+        if lo < mid < hi and dot == _bound_dot4(sample.n):
+            bound = spearman_upper_bound(sample.n)
+            return EstimatorResult(
+                alpha_hat=normalize_weights(alpha),
+                beta_hat=beta,
+                objective=bound,
+                method="spearman",
+                diagnostics={
+                    "restarts": restarts,
+                    "local_optima": [],
+                    "grid": None,
+                    "alpha_argmax": alpha,
+                    "beta_argmax": beta,
+                    "upper_bound": bound,
+                    "objective_evaluations": 1,
+                    "argmax_interval": {"lo": lo, "hi": hi, "width": hi - lo},
+                    "gap": 0,
+                },
+            )
+    return _rank_search(sample, restarts, seed)
+
+
+def _rank_search(sample: MatchedSample, restarts: int, seed: int) -> EstimatorResult:
+    """Search the rank-product objective over unit weight vectors.
 
     Multistart Nelder-Mead on spherical angle coordinates (the objective is
     scale-invariant per side, so spheres lose nothing), plus an angular
@@ -353,7 +446,8 @@ def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) 
     go to the earlier restart, and restarts come before grid points.
     Each restart runs ``_nelder_mead``, which gives scipy's Nelder-Mead
     result bit for bit without loading scipy, and reports its evaluations,
-    iterations and convergence in its local optimum.
+    iterations and convergence in its local optimum. ``gap`` is read from
+    the exact dot of the evaluation that produced the argmax.
     """
     x_ranks = _ranker(sample.xs)
     y_ranks = _ranker(sample.ys)
@@ -361,11 +455,15 @@ def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) 
     # the one rounding of _rank_product_mean
     scale = 4 * n * (n + 1) * (n + 1)
     evaluations = 0
+    # every candidate is a point this evaluated, bit for bit
+    exact: dict[bytes, int] = {}
 
     def dot4(alpha: np.ndarray, beta: np.ndarray) -> int:
         nonlocal evaluations
         evaluations += 1
-        return _exact_dot4(x_ranks(alpha), y_ranks(beta))
+        d = _exact_dot4(x_ranks(alpha), y_ranks(beta))
+        exact[alpha.tobytes() + beta.tobytes()] = d
+        return d
 
     def value(alpha: np.ndarray, beta: np.ndarray) -> float:
         return dot4(alpha, beta) / scale
@@ -450,6 +548,8 @@ def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) 
             "beta_argmax": best_beta,
             "upper_bound": spearman_upper_bound(sample.n),
             "objective_evaluations": evaluations,
+            "argmax_interval": None,
+            "gap": _bound_dot4(n) - exact[best_alpha.tobytes() + best_beta.tobytes()],
         },
     )
 

@@ -511,15 +511,27 @@ class TestEstimate:
                            methods=["spearman"], spearman={"restarts": 2})
         sample = tmp_path / "run" / "sample.csv"
         main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")])
-        payloads = []
-        for out in ("a", "b"):
-            assert main(["estimate", "--config", str(cfg), "--sample", str(sample),
-                         "--out", str(tmp_path / out)]) == 0
-            payloads.append((tmp_path / out / "estimate_spearman.json").read_bytes())
-        assert payloads[0] == payloads[1]
-        diagnostics = json.loads(payloads[0])["diagnostics"]
-        assert diagnostics["objective_evaluations"] > 0
-        for entry in diagnostics["local_optima"]:
+        # the simulated sample is comonotone and takes the arc; with half its
+        # y column reversed it is not, and takes the search
+        drawn = MatchedSample.from_csv(sample)
+        shuffled = tmp_path / "shuffled.csv"
+        MatchedSample(xs=drawn.xs, ys=np.concatenate([drawn.ys[:400][::-1], drawn.ys[400:]])).to_csv(shuffled)
+        reports = []
+        for path in (sample, shuffled):
+            payloads = []
+            for out in ("a", "b"):
+                assert main(["estimate", "--config", str(cfg), "--sample", str(path),
+                             "--out", str(tmp_path / out)]) == 0
+                payloads.append((tmp_path / out / "estimate_spearman.json").read_bytes())
+            assert payloads[0] == payloads[1]
+            reports.append(json.loads(payloads[0]))
+        arc, search = (r["diagnostics"] for r in reports)
+        assert arc["objective_evaluations"] == 1 and arc["local_optima"] == [] and arc["gap"] == 0
+        assert arc["argmax_interval"]["lo"] < arc["argmax_interval"]["hi"]
+        assert reports[0]["objective"] == arc["upper_bound"]
+        assert search["argmax_interval"] is None and search["gap"] > 0
+        assert search["objective_evaluations"] > 0 and len(search["local_optima"]) == 2
+        for entry in search["local_optima"]:
             assert {"nfev", "nit", "success"} <= set(entry)
 
 
@@ -767,6 +779,16 @@ class TestEntryPoint:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--gaussian"]], ids=["benchmark", "gaussian"])
+    def test_unallocatable_monte_carlo_fails_before_any_quadrature(self, tmp_path, capsys, monkeypatch, flags):
+        integrated = []
+        monkeypatch.setattr(oracle, "quad_integrate",
+                            lambda *args, real=oracle.quad_integrate, **kw: integrated.append(1) or real(*args, **kw))
+        out = tmp_path / "o"
+        assert main(["counterexample", *flags, "--n", str(10**15), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
+        assert integrated == [] and not out.exists()
 
     def test_module_invocation(self, tmp_path, fresh_python):
         cfg = write_config(tmp_path / "cfg.json", n=100)

@@ -1,5 +1,12 @@
+import json
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from matchbench import (
@@ -25,6 +32,7 @@ from matchbench.estimators import (
     _exact_dot4,
     _nelder_mead,
     _rank_product_mean,
+    _rank_search,
     _unit_from_angles,
 )
 
@@ -162,8 +170,9 @@ class TestEstimate:
         assert result.diagnostics["beta_argmax"][0] == -1.0
 
     def test_counterexample_recovery_smoke(self):
+        # the search alone: spearman_estimate answers this sample from its arc
         sample = simulate_market(counterexample_market(), 10_000, seed=23)
-        result = spearman_estimate(sample, restarts=4, seed=0)
+        result = _rank_search(sample, 4, 0)
         ratio = result.alpha_hat[1] / result.alpha_hat[0]
         assert abs(ratio - 1.0) < 0.1
         assert result.diagnostics["grid"] is not None
@@ -194,7 +203,7 @@ class TestEstimate:
 
     def test_restarts_report_convergence(self):
         sample = simulate_market(counterexample_market(), 2_000, seed=31)
-        runs = [spearman_estimate(sample, restarts=3, seed=7).diagnostics for _ in range(2)]
+        runs = [_rank_search(sample, 3, 7).diagnostics for _ in range(2)]
         assert runs[0]["objective_evaluations"] == runs[1]["objective_evaluations"]
         restarts = [o for o in runs[0]["local_optima"] if o["source"].startswith("restart")]
         assert len(restarts) == 3
@@ -268,10 +277,11 @@ class TestMirroredGrid:
             assert mirrored == _exact_dot4(average_ranks(-u), rank_v)
 
 
-# alpha_argmax bytes, objective and refined centres of
-# spearman_estimate(sample, restarts=2) on the benchmark market at
-# n = 10,000, recorded before the antipodal half of the coarse grid was
-# mirrored instead of sorted; a change that moves them should be deliberate
+# alpha_argmax bytes, objective and refined centres of the search
+# (spearman_estimate(sample, restarts=2) before the comonotone arc came
+# first) on the benchmark market at n = 10,000, recorded before the
+# antipodal half of the coarse grid was mirrored instead of sorted; a
+# change that moves them should be deliberate
 PINNED_SEARCH = {
     41: [0.7853981633974483, 0.760854470791278, 0.8099418560036186],
     42: [0.7853981633974483, 0.8099418560036186, 0.760854470791278],
@@ -284,10 +294,124 @@ PINNED_OBJECTIVE = 0.3333166683331667
 @pytest.mark.parametrize("seed", sorted(PINNED_SEARCH))
 def test_search_pinned_on_benchmark_market(seed):
     sample = simulate_market(counterexample_market(), 10_000, seed=seed)
-    result = spearman_estimate(sample, restarts=2)
+    result = _rank_search(sample, 2, 0)
     assert result.diagnostics["alpha_argmax"].tobytes().hex() == PINNED_ALPHA
     assert result.objective == PINNED_OBJECTIVE
     assert result.diagnostics["grid"]["refined_centers"] == PINNED_SEARCH[seed]
+
+
+def _at_angle(sample: MatchedSample, t: float) -> float:
+    return spearman_objective(sample, _unit_from_angles(np.array([t]), 2), [1.0])
+
+
+def _assert_arc_or_search(sample: MatchedSample, restarts: int = 1, seed: int = 0) -> None:
+    """The arc's midpoint when it is taken, else the search's result bit for bit."""
+    result = spearman_estimate(sample, restarts, seed)
+    arc = result.diagnostics["argmax_interval"]
+    bound = spearman_upper_bound(sample.n)
+    if arc is None:
+        search = _rank_search(sample, restarts, seed)
+        assert result.alpha_hat.tobytes() == search.alpha_hat.tobytes()
+        assert result.beta_hat.tobytes() == search.beta_hat.tobytes()
+        assert json.dumps(result.to_json_dict()) == json.dumps(search.to_json_dict())
+        assert result.diagnostics["gap"] == round((bound - result.objective) * 4 * sample.n * (sample.n + 1) ** 2)
+        return
+    lo, hi = arc["lo"], arc["hi"]
+    mid = 0.5 * (lo + hi)
+    assert lo < mid < hi and arc["width"] == hi - lo
+    assert result.diagnostics["alpha_argmax"].tobytes() == _unit_from_angles(np.array([mid]), 2).tobytes()
+    assert result.objective == bound == _at_angle(sample, mid)
+    assert result.diagnostics["gap"] == 0 and result.diagnostics["objective_evaluations"] == 1
+    # the arc is the argmax set: inside it the bound holds, just outside it does not
+    quarter = 0.25 * (hi - lo)
+    assert _at_angle(sample, lo + quarter) == _at_angle(sample, hi - quarter) == bound
+    assert _at_angle(sample, lo - quarter) < bound and _at_angle(sample, hi + quarter) < bound
+
+
+# 2x1 samples on a small integer lattice, so an arc is either empty or far
+# wider than float noise; a coin column repeats rows, integer y values tie
+SMALL_INTS = st.integers(-3, 3)
+
+
+@st.composite
+def lattice_samples(draw):
+    n = draw(st.integers(2, 12))
+    coin = draw(st.booleans())
+    first = st.sampled_from([-1, 1]) if coin else SMALL_INTS
+    xs = np.array([[draw(first), draw(SMALL_INTS)] for _ in range(n)], dtype=float)
+    kind = draw(st.sampled_from(["index", "permutation", "integers"]))
+    if kind == "index":
+        # comonotone in the index at angle t: ties only where x indexes tie
+        t = draw(st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+        ys = xs @ np.array([math.cos(t), math.sin(t)])
+    elif kind == "permutation":
+        ys = np.array(draw(st.permutations(range(n))), dtype=float)
+    else:
+        ys = np.array([draw(SMALL_INTS) for _ in range(n)], dtype=float)
+    return MatchedSample(xs=xs, ys=ys.reshape(-1, 1))
+
+
+def _sample(rows) -> MatchedSample:
+    data = np.array(rows, dtype=float)
+    return MatchedSample(xs=data[:, :2], ys=data[:, 2:])
+
+
+class TestComonotoneArc:
+    @settings(max_examples=80, deadline=None)
+    @given(sample=lattice_samples(), via_csv=st.booleans())
+    @example(sample=_sample([[0, 0, 0], [2, 1, 2], [1, 3, 1], [3, 2, 3]]), via_csv=True)  # not comonotone
+    def test_midpoint_is_an_exact_maximizer_or_the_search_runs(self, sample, via_csv):
+        if via_csv:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "sample.csv"
+                sample.to_csv(path)
+                sample = MatchedSample.from_csv(path)
+        _assert_arc_or_search(sample)
+
+    @pytest.mark.parametrize("rows, taken", [
+        ([[0, 1, 0], [1, 0, 1]], True),
+        ([[1, 2, 0], [-1, 1, 1], [1, 2, 2]], False),
+        ([[0, 0, 0], [1, 0, 1], [2, 1, 1]], False),
+        ([[0, 0, 0], [1, 0, 1], [0, 0, 2]], False),
+    ], ids=["n=2", "repeated-row", "tie-in-y", "zero-span"])
+    def test_which_path_answers(self, rows, taken):
+        result = spearman_estimate(_sample(rows), restarts=1)
+        assert (estimators._comonotone_arc(_sample(rows)) is not None) is taken
+        assert (result.diagnostics["argmax_interval"] is not None) is taken
+        _assert_arc_or_search(_sample(rows))
+
+    def test_midpoint_that_misses_the_bound_goes_to_the_search(self, monkeypatch):
+        # an arc away from the true one, near pi/4: its midpoint is checked, found short, and dropped
+        sample = simulate_market(counterexample_market(), 500, seed=59)
+        monkeypatch.setattr(estimators, "_comonotone_arc", lambda s: (1.0, 1.2))
+        result = spearman_estimate(sample, restarts=1)
+        assert result.diagnostics["argmax_interval"] is None
+        assert json.dumps(result.to_json_dict()) == json.dumps(_rank_search(sample, 1, 0).to_json_dict())
+
+    def test_half_circle_at_n_2(self):
+        # one difference, (-1, 1) at angle 3 pi/4: the arc is the half circle about it
+        interval = spearman_estimate(_sample([[1, 0, 0], [0, 1, 1]]), restarts=1).diagnostics["argmax_interval"]
+        assert interval["lo"] == pytest.approx(0.25 * math.pi, abs=1e-15)
+        assert interval["hi"] == pytest.approx(1.25 * math.pi, abs=1e-15)
+
+    def test_non_comonotone_csv_sample_takes_the_search(self, tmp_path):
+        sample = simulate_market(counterexample_market(), 2_000, seed=53)
+        ys = sample.ys.copy()
+        ys[:200] = ys[:200][::-1]
+        MatchedSample(xs=sample.xs, ys=ys).to_csv(tmp_path / "sample.csv")
+        read = MatchedSample.from_csv(tmp_path / "sample.csv")
+        result = spearman_estimate(read, restarts=2, seed=0)
+        assert result.diagnostics["argmax_interval"] is None
+        assert result.diagnostics["gap"] > 0
+        _assert_arc_or_search(read, restarts=2)
+
+    @pytest.mark.parametrize("seed", [10, 11, 12, 13, 14])
+    def test_benchmark_market_at_one_hundred_thousand(self, seed):
+        sample = simulate_market(counterexample_market(), 100_000, seed=seed)
+        result = spearman_estimate(sample, restarts=4, seed=0)
+        arc = result.diagnostics["argmax_interval"]
+        assert arc is not None and arc["lo"] < math.pi / 4 < arc["hi"]
+        _assert_arc_or_search(sample, restarts=4)
 
 
 def rosenbrock(x):
