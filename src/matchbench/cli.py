@@ -171,11 +171,19 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def angular_error(estimate, truth) -> float:
-    """Angle between weight directions, invariant to scale and sign."""
-    e = np.asarray(estimate, dtype=float)
-    t = np.asarray(truth, dtype=float)
-    cos = abs(e @ t) / (np.linalg.norm(e) * np.linalg.norm(t))
-    return float(math.acos(min(1.0, cos)))
+    """Angle between weight directions, invariant to scale and sign.
+
+    2·atan2(|u - v|, |u + v|) of the unit vectors, u's sign chosen so that
+    u·v >= 0: it resolves angles far below the 1.5e-8 at which acos of the
+    cosine reads 0.
+    """
+    u = np.asarray(estimate, dtype=float)
+    v = np.asarray(truth, dtype=float)
+    u = u / np.linalg.norm(u)
+    v = v / np.linalg.norm(v)
+    if u @ v < 0:
+        u = -u
+    return float(2.0 * math.atan2(np.linalg.norm(u - v), np.linalg.norm(u + v)))
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:

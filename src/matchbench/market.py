@@ -319,6 +319,8 @@ def _coupling_order(index: np.ndarray) -> np.ndarray:
     Numpy's default sort is several times faster than the stable one. When
     no two keys compare equal the sorting permutation is unique, so the two
     agree; a tie (±0.0 and ±inf included) or a nan takes the stable sort.
+    ``simulate_market`` sends a one-attribute side here only when
+    ``_sorted_column`` refuses it.
     """
     order = np.argsort(index)
     ranked = index[order]
@@ -327,8 +329,23 @@ def _coupling_order(index: np.ndarray) -> np.ndarray:
     return order
 
 
+def _sorted_column(column: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
+    """A one-attribute side's ``column`` sorted by its index
+    ``column[:, None] @ weights`` (values descending for a negative weight),
+    or None where that could differ in bytes from the stable index sort: a
+    zero (±0.0 differ in bits; the stable sort orders them by draw), or two
+    distinct adjacent values whose index rounds equal."""
+    ordered = column.copy()
+    (ordered if weights[0] > 0 else ordered[::-1]).sort()
+    ranked = ordered[:, None] @ weights
+    if not ordered.all() or np.any((ranked[1:] == ranked[:-1]) & (ordered[1:] != ordered[:-1])):
+        return None
+    return ordered
+
+
 def _sorted_side(side: str, fields: str, components, cov, weights, n: int, streams) -> np.ndarray:
-    """One side's draws, their index checked, in the order of ``_coupling_order``."""
+    """One side's draws, their index checked, in the stable sort order of
+    the index: by ``_sorted_column`` or else ``_coupling_order``."""
     draws = _draw_side(components, cov, weights.size, n, streams)
     # an inf or nan in an index, or a spread too wide for a float, makes its variance non-finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -338,6 +355,12 @@ def _sorted_side(side: str, fields: str, components, cov, weights, n: int, strea
         raise ValueError(f"{fields}: the {side}-side index overflows a float; rescale the weights or params")
     if spread == 0.0:
         raise DegenerateIndexError(f"{side}-side index has zero variance")
+    if weights.size == 1:
+        del index  # freed before the sorted copy is allocated
+        ordered = _sorted_column(draws[:, 0], weights)
+        if ordered is not None:
+            return ordered[:, None]
+        index = draws @ weights
     order = _coupling_order(index)
     del index  # freed before the sorted copy is allocated
     return np.take(draws, order, axis=0)
@@ -346,11 +369,12 @@ def _sorted_side(side: str, fields: str, components, cov, weights, n: int, strea
 def simulate_market(spec: MarketSpec, n: int, seed: int) -> MatchedSample:
     """Draw both sides independently and pair equal index ranks.
 
-    Each side is ordered by ``_coupling_order``: the stable sort's
-    permutation, with original draw order as the tiebreaker, so the
-    coupling is deterministic even when an index has atoms. One Philox
-    stream per attribute column keeps draws reproducible under any
-    evaluation order.
+    Each side takes the order of its index's stable sort, with original
+    draw order as the tiebreaker, so the coupling is deterministic even
+    when an index has atoms: a one-attribute side by sorting its values
+    (``_sorted_column``), any other through ``_coupling_order``'s
+    permutation; both give the same bytes. One Philox stream per attribute
+    column keeps draws reproducible under any evaluation order.
     """
     if n < 2:
         raise ValueError("need n >= 2")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import matchbench
 from matchbench import ConfigError, MatchedSample, oracle
-from matchbench.cli import _apply_overrides, build_parser, load_config, main
+from matchbench.cli import _apply_overrides, angular_error, build_parser, load_config, main
 from matchbench.distributions import KINDS
 
 COUNTEREXAMPLE_MARKET = {
@@ -699,6 +699,32 @@ class TestBenchmark:
         cfg = write_config(tmp_path / "cfg.json", sweep=[100], methods=["saliency"],
                            affinity=[[1.0], [1.0]])
         assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+class TestAngularError:
+    @pytest.mark.parametrize("scale", [1.0, -1.0, 3e-7, -2.5e9])
+    def test_scale_and_sign_invariant(self, scale):
+        e, t = np.array([0.3, -1.2, 0.8]), np.array([1.0, 0.5, -0.25])
+        assert angular_error(scale * e, t) == pytest.approx(angular_error(e, t), rel=1e-14)
+        assert angular_error(e, scale * t) == pytest.approx(angular_error(e, t), rel=1e-14)
+
+    def test_equal_vectors_read_zero(self):
+        assert angular_error([0.6, 0.8], [0.6, 0.8]) == 0.0
+        assert angular_error([-3.0, -4.0], [0.6, 0.8]) == 0.0
+
+    def test_orthogonal_vectors_read_a_right_angle(self):
+        assert angular_error([1.0, 0.0], [0.0, 2.0]) == pytest.approx(math.pi / 2, rel=1e-15)
+        assert angular_error([1.0, 1.0, 0.0], [1.0, -1.0, 5.0]) == pytest.approx(math.pi / 2, rel=1e-15)
+
+    @pytest.mark.parametrize("angle", [1e-9, 1e-12])
+    def test_resolves_angles_acos_reads_as_zero(self, angle):
+        # acos(1 - 2**-53) is 1.49e-8, so acos of the cosine reads 0 for both
+        assert angular_error([math.cos(angle), math.sin(angle)], [1.0, 0.0]) == pytest.approx(angle, rel=1e-6)
+
+    def test_agrees_with_acos_where_acos_resolves(self, rng):
+        for e, t in rng.standard_normal((1000, 2, 3)):
+            cos = abs(e @ t) / (np.linalg.norm(e) * np.linalg.norm(t))
+            assert angular_error(e, t) == pytest.approx(math.acos(min(1.0, cos)), abs=1e-12)
 
 
 class TestSaliencyCommand:

@@ -4,10 +4,11 @@ import io
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -140,8 +141,10 @@ class TestSimulateMarket:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the sorted x side held while the y side is drawn, indexed and sorted
-        # reads 46.7 MiB; drawing both sides before sorting either read 69.6 MiB
+        # the sorted x side held while the y side is drawn, indexed and its
+        # values sorted reads 40.1 MiB; gathering the y side through its
+        # argsort permutation read 46.7 MiB, and drawing both sides before
+        # sorting either read 69.6 MiB
         assert peak < 55 * 2**20
 
 
@@ -151,6 +154,17 @@ _TIED_KEYS = st.lists(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -2.5]) | st.floats(),
     min_size=1, max_size=6,
 ).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+_ABOVE_1_7 = math.nextafter(1.7, 2.0)
+# one-column draws with forced duplicates: each entry comes from a small pool
+# that mixes ±0.0 and 1.7 with its upper neighbour among ordinary floats
+_COLUMN_VALUES = st.lists(
+    st.sampled_from([0.0, -0.0, 1.7, _ABOVE_1_7, -2.5]) | st.floats(-1e100, 1e100),
+    min_size=1, max_size=6,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=40)) | st.lists(
+    st.floats(-1e100, 1e100), min_size=2, max_size=40
+)
 
 
 def sha256(array: np.ndarray) -> str:
@@ -178,11 +192,19 @@ class TestCouplingOrder:
 
     @pytest.mark.parametrize(
         "p_components, kinds",
-        [((uniform01(),), [None, None]), ((rademacher(),), [None, "stable", None])],
-        ids=["tie-free", "coin-only"],
+        [
+            ((uniform01(),), []),
+            ((rademacher(),), []),
+            ((uniform01(), uniform01()), [None]),
+            ((rademacher(), rademacher()), [None, "stable"]),
+        ],
+        ids=["tie-free", "coin-only", "two-attribute-tie-free", "two-coins"],
     )
     def test_only_a_tied_index_takes_the_stable_sort(self, monkeypatch, p_components, kinds):
-        spec = MarketSpec(dx=1, dy=1, alpha=[1.0], beta=[1.0],
+        """A one-attribute side sorts its values and calls no argsort (a coin's
+        equal values have equal bits); a wider side argsorts its index, and
+        again with the stable sort only when the index has a tie."""
+        spec = MarketSpec(dx=len(p_components), dy=1, alpha=[1.0] * len(p_components), beta=[1.0],
                           p_components=p_components, q_components=(uniform01(),))
         argsort, seen = np.argsort, []
 
@@ -193,6 +215,46 @@ class TestCouplingOrder:
         monkeypatch.setattr(np, "argsort", counting)
         simulate_market(spec, 1000, seed=4)
         assert seen == kinds
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=_COLUMN_VALUES, weight=st.sampled_from([1.0, -1.0, 3.0, -0.7, 0.95, -1 / 3, 1e-3]))
+    @example(values=[_ABOVE_1_7, 1.7, 0.5], weight=0.95)  # distinct values whose index rounds equal
+    @example(values=[1.0, -0.0, 1.0, 0.0, 2.0], weight=-0.7)
+    @example(values=[2.5, 2.5, -1.0, 2.5, -1.0], weight=-3.0)
+    @example(values=[5e-324, 1e-323, 1.0], weight=1e-3)  # subnormals whose index underflows to 0
+    def test_value_path_gives_the_stable_gather(self, values, weight):
+        draws = np.array(values)[:, None]
+        w = np.array([weight])
+        assume(np.var(draws @ w) > 0.0)
+        want = np.take(draws, np.argsort(draws @ w, kind="stable"), axis=0)
+        ordered = market._sorted_column(draws[:, 0], w)
+        if ordered is not None:
+            assert ordered[:, None].tobytes() == want.tobytes()
+        with mock.patch.object(market, "_draw_side", return_value=draws.copy()):
+            side = market._sorted_side("y", "beta/q_components", None, None, w, draws.shape[0], None)
+        assert side.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "values, weight, takes_values",
+        [
+            ([2.5, 2.5, -1.0, 2.5], -3.0, True),
+            ([_ABOVE_1_7, 1.7, 0.5], 0.95, False),
+            ([_ABOVE_1_7, 1.7, 0.5], 1.0, True),
+            ([1.0, 0.0, 2.0], 1.0, False),
+            ([1.0, -0.0, 2.0], -1.0, False),
+        ],
+        ids=["duplicates", "index-rounds-equal", "index-distinct", "zero", "negative-zero"],
+    )
+    def test_value_path_steps_aside(self, values, weight, takes_values):
+        ordered = market._sorted_column(np.array(values), np.array([weight]))
+        assert (ordered is not None) == takes_values
+
+    @pytest.mark.parametrize("weight", [1.0, -0.7, 0.95, -1 / 3, 1e-3, 12345.678])
+    def test_column_product_is_the_index(self, rng, weight):
+        draws = rng.standard_normal((100_001, 1)) * np.exp(rng.uniform(-300.0, 300.0, (100_001, 1)))
+        w = np.array([weight])
+        column = draws[:, 0].copy()
+        assert (column[:, None] @ w).tobytes() == (draws @ w).tobytes()
 
     # recorded when each side was ordered by the stable argsort alone and
     # gathered by fancy indexing: the faster order must not move a byte
