@@ -219,17 +219,16 @@ class CounterexampleReport:
 _E2 = math.exp(-2.0)
 
 # The benchmark's named expectation terms E[G(X2+s)], E[X2 G(X2+s)] and
-# E[X2 Yhat] over X2 ~ Exp(1), G its own CDF and Yhat the matched outcome.
-# A row is the key, the integrand over X2, the exact value and its symbolic
-# form; the matched outcome has no integrand, since each route integrates it
-# its own way.
+# E[X2 T] over X2 ~ Exp(1), G its own CDF and T the matched y index. A row
+# is the key, the integrand of (x1, x2, t), the exact value and its symbolic
+# form.
 _TERMS = (
-    ("mean_cdf_shift_plus2", lambda z: _G(z + 2.0), 1.0 - _E2 / 2.0, "1-e^-2/2"),
-    ("mean_cdf_shift_minus2", lambda z: _G(z - 2.0), _E2 / 2.0, "e^-2/2"),
-    ("mean_x_cdf_shift_minus2", lambda z: z * _G(z - 2.0), 7.0 * _E2 / 4.0, "7e^-2/4"),
-    ("mean_x_cdf_shift_plus2", lambda z: z * _G(z + 2.0), 1.0 - _E2 / 4.0, "1-e^-2/4"),
-    ("mean_x_cdf_shift0", lambda z: z * _G(z), 3.0 / 4.0, "3/4"),
-    ("mean_x_matched_outcome", None, (3.0 * _E2 + 5.0) / 8.0, "(3e^-2+5)/8"),
+    ("mean_cdf_shift_plus2", lambda x1, x2, t: _G(x2 + 2.0), 1.0 - _E2 / 2.0, "1-e^-2/2"),
+    ("mean_cdf_shift_minus2", lambda x1, x2, t: _G(x2 - 2.0), _E2 / 2.0, "e^-2/2"),
+    ("mean_x_cdf_shift_minus2", lambda x1, x2, t: x2 * _G(x2 - 2.0), 7.0 * _E2 / 4.0, "7e^-2/4"),
+    ("mean_x_cdf_shift_plus2", lambda x1, x2, t: x2 * _G(x2 + 2.0), 1.0 - _E2 / 4.0, "1-e^-2/4"),
+    ("mean_x_cdf_shift0", lambda x1, x2, t: x2 * _G(x2), 3.0 / 4.0, "3/4"),
+    ("mean_x_matched_outcome", lambda x1, x2, t: x2 * t, (3.0 * _E2 + 5.0) / 8.0, "(3e^-2+5)/8"),
 )
 
 _SYMBOLIC = {
@@ -258,12 +257,27 @@ def closed_form_counterexample() -> CounterexampleReport:
 _SUPPORT_ENDS = {"gaussian": (), "exponential": (0.0,), "uniform01": (0.0, 1.0), "rademacher": ()}
 
 
+def _iqr(d: DistributionModel) -> float:
+    return d.quantile(0.75) - d.quantile(0.25)
+
+
+def _oriented(spec: MarketSpec):
+    """The x attributes as (d1, a1, d2, a2, swapped). X1 and X2 swap, with
+    their weights, when both are continuous and weighted and a2 X2 has the
+    narrower interquartile range: the quadrature then runs over the narrow
+    attribute and integrates the wide one's smooth CDF or density, where a
+    narrow one's would be nearly a step. A coin is never swapped."""
+    (d1, d2), (a1, a2) = spec.p_components, (float(spec.alpha[0]), float(spec.alpha[1]))
+    swap = d1.is_continuous and a1 != 0.0 and a2 != 0.0 and abs(a2) * _iqr(d2) < abs(a1) * _iqr(d1)
+    return (d2, a2, d1, a1, True) if swap else (d1, a1, d2, a2, False)
+
+
 def _population_index_tails(spec: MarketSpec, tol: float, stats: QuadratureStats) -> Callable:
     """z -> (F(z), 1 - F(z)) for the x-side index a1 X1 + a2 X2, each tail
     built from the components' own CDFs or survival functions, so neither
-    is found by subtracting the other from 1."""
-    d1, d2 = spec.p_components
-    a1, a2 = float(spec.alpha[0]), float(spec.alpha[1])
+    is found by subtracting the other from 1. X1 and X2 are as ``_oriented``
+    orders them."""
+    d1, a1, d2, a2, _ = _oriented(spec)
     if a2 == 0.0:
         return lambda z: (scaled_cdf(d1, a1, z), scaled_sf(d1, a1, z))
     if a1 == 0.0:
@@ -322,7 +336,7 @@ def population_transfer_map(spec: MarketSpec, tol: float,
         if a2 == 0.0:
             raise ValueError("alpha: a zero second weight leaves the coin alone as the x index, "
                              "whose atoms the transfer map cannot match")
-        if abs(a2) * (d2.quantile(0.75) - d2.quantile(0.25)) < _NEAR_ATOMIC * abs(a1):
+        if abs(a2) * _iqr(d2) < _NEAR_ATOMIC * abs(a1):
             raise ValueError(f"alpha: the second weight {a2!r} gives a2*X2 an interquartile range under "
                              f"{_NEAR_ATOMIC:g} of the first weight {a1!r}, so the x index is nearly the "
                              "coin alone, whose atoms the transfer map cannot match")
@@ -336,19 +350,20 @@ def population_transfer_map(spec: MarketSpec, tol: float,
     return tmap
 
 
-def _mean_over(spec: MarketSpec, fn: Callable, tol: float, stats: QuadratureStats | None) -> float:
+def _mean_over(spec: MarketSpec, fn: Callable, tol: float, stats: QuadratureStats | None) -> np.ndarray:
     """E[fn(X1, X2)] over the x attributes of ``spec``, ``fn`` broadcasting
-    over both. The inner integrals over X2 of all outer nodes run as one
-    vector-valued pass, broken where the index density has a kink: where
-    both attributes sit at an end of their supports."""
-    d1, d2 = spec.p_components
-    a1, a2 = float(spec.alpha[0]), float(spec.alpha[1])
+    over both, one row per integrand. The inner integrals over the attribute
+    ``_oriented`` puts second, for all outer nodes, run as one vector-valued
+    pass, broken where the index density has a kink: where both attributes
+    sit at an end of their supports."""
+    d1, a1, d2, a2, swapped = _oriented(spec)
+    g = (lambda x1, x2: fn(x2, x1)) if swapped else fn
     kinks = np.add.outer(a1 * np.array(_SUPPORT_ENDS[d1.kind]), a2 * np.array(_SUPPORT_ENDS[d2.kind])).ravel()
 
     def outer(x1_nodes):
         column = np.reshape(x1_nodes, (-1, 1))
         breaks = None if a2 == 0.0 else (kinks - a1 * column) / a2
-        return quad_integrate(lambda x2: fn(column, x2), d2, tol, stats, breaks=breaks)
+        return quad_integrate(lambda x2: g(column, x2), d2, tol, stats, breaks=breaks)
 
     return quad_integrate(outer, d1, tol, stats)
 
@@ -357,22 +372,22 @@ def numeric_counterexample(spec: MarketSpec, tol: float, terms=()) -> Counterexa
     """Quadrature version of the weight-ratio diagnosis for any two-attribute
     market with independent components and a scalar y side.
 
-    cov(X_i, T) is integrated over atoms and panels of the population
-    transfer map T; the report's diagnostics count the panels. ``terms``
-    rows (see ``_TERMS``) are integrated over X2; a row without an integrand
-    is E[X2 T], which the covariances already integrate.
+    cov(X_i, T), as the mean of (X_i - E X_i) T, and the ``terms`` rows (see
+    ``_TERMS``) are integrated in one pass over atoms and panels of the
+    population transfer map T; the report's diagnostics count the panels.
     """
     stats = QuadratureStats()
     tmap = population_transfer_map(spec, tol, stats)
-    d1, d2 = spec.p_components
+    m1, m2 = (d.mean() for d in spec.p_components)
     a1, a2 = float(spec.alpha[0]), float(spec.alpha[1])
-    mean_t = _mean_over(spec, lambda x1, x2: tmap(a1 * x1 + a2 * x2), tol, stats)
-    mean_x1t = _mean_over(spec, lambda x1, x2: x1 * tmap(a1 * x1 + a2 * x2), tol, stats)
-    mean_x2t = _mean_over(spec, lambda x1, x2: x2 * tmap(a1 * x1 + a2 * x2), tol, stats)
-    means = {key: mean_x2t if fn is None else quad_integrate(fn, d2, tol, stats) for key, fn, _, _ in terms}
-    cov_x1 = mean_x1t - d1.mean() * mean_t
-    cov_x2 = mean_x2t - d2.mean() * mean_t
-    return CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "quadrature", means, diagnostics=stats)
+
+    def stack(x1, x2):
+        t = tmap(a1 * x1 + a2 * x2)
+        return np.stack(np.broadcast_arrays((x1 - m1) * t, (x2 - m2) * t, *(fn(x1, x2, t) for _, fn, _, _ in terms)))
+
+    cov_x1, cov_x2, *means = _mean_over(spec, stack, tol, stats).tolist()
+    return CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "quadrature",
+                                                 dict(zip([key for key, *_ in terms], means)), diagnostics=stats)
 
 
 def quadrature_counterexample(tol: float) -> CounterexampleReport:
@@ -410,14 +425,14 @@ def simulated_monte_carlo(spec: MarketSpec, n: int, seed: int, terms=()) -> Coun
     """Monte Carlo column of a two-attribute market, obtained through the full
     simulation pipeline (sampling and the coupling sort), with standard errors.
 
-    ``terms`` rows (see ``_TERMS``) are averaged over the sample's X2 column;
-    a row without an integrand averages X2 times the matched y index.
+    ``terms`` rows (see ``_TERMS``) are averaged over the sample's columns
+    and its matched y index.
     """
     sample = simulate_market(spec, n, seed)
     x1, x2, t = sample.xs[:, 0], sample.xs[:, 1], sample.y_index(spec.beta)
     means, stderrs = {}, {}
     for key, fn, _, _ in terms:
-        means[key], stderrs[key] = _mean_stderr(x2 * t if fn is None else fn(x2))
+        means[key], stderrs[key] = _mean_stderr(fn(x1, x2, t))
     cov_x1, cov_x2, cov_stderrs = _cov_stderrs(x1, x2, t)
     return CounterexampleReport.from_covariances(
         spec.alpha, cov_x1, cov_x2, "monte_carlo", means, {**stderrs, **cov_stderrs}

@@ -579,7 +579,7 @@ class TestCounterexampleCommand:
     def test_quadrature_counters_and_benchmark_terms(self, tmp_path):
         assert main(["counterexample", "--tol", "1e-9", "--n", "20000", "--out", str(tmp_path / "a")]) == 0
         quad = json.loads((tmp_path / "a" / "counterexample.json").read_text())["quadrature"]
-        assert quad["diagnostics"] == {"panels": 295, "max_depth": 25}
+        assert quad["diagnostics"] == {"panels": 102, "max_depth": 25}
         assert sorted(quad["expectation_terms"]) == sorted(matchbench.closed_form_counterexample().expectation_terms)
         assert main(["counterexample", "--gaussian", "--tol", "1e-8", "--n", "2000",
                      "--out", str(tmp_path / "g")]) == 0
@@ -589,9 +589,9 @@ class TestCounterexampleCommand:
     # the whole counterexample.json, its closed-form, quadrature and Monte
     # Carlo blocks included, bit for bit
     @pytest.mark.parametrize("flags, sha256", [
-        (["--tol", "1e-9", "--n", "20000"], "5215c98561f6dd70ace4c931f1001ad8ba8915d49dd1b9fda354ed162f9e6de5"),
+        (["--tol", "1e-9", "--n", "20000"], "685f1b7767ac1691931ff8413e3d98b2e746172c14c5b47f1ecc58d82cd4c1a5"),
         (["--gaussian", "--tol", "1e-8", "--n", "2000"],
-         "f085bea13640a44c0b77464380b08cc49deb645c110362386e1d1f0017ad6674"),
+         "6fbf9c1cb5be00a9c54d7416a3a98bd62a3f9c936f028f9d52f172bada431ee1"),
     ], ids=["benchmark", "gaussian"])
     def test_output_bytes_are_pinned(self, tmp_path, flags, sha256):
         assert main(["counterexample", *flags, "--out", str(tmp_path)]) == 0
