@@ -15,7 +15,6 @@ import math
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -375,11 +374,21 @@ def cmd_benchmark(args) -> int:
             raise ConfigError(f"methods: {m!r} cannot run in a benchmark sweep")
     out = _out_dir(args, config)
 
+    # processes, not threads: the rank objective's small numpy calls hold the GIL, so two threads ran
+    # a 3x2 market's Nelder-Mead restarts little faster than one. fork starts a worker without importing
+    # matchbench again; these imports stay here because they add 10-14 ms to every command's start
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     tasks = [(n, rep) for n in config.sweep for rep in range(config.replications)]
     # outputs do not depend on the worker count: every task seeds itself from its index
-    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        futures = [pool.submit(_benchmark_task, config, n, rep, idx) for idx, (n, rep) in enumerate(tasks)]
-        records = [row for fut in futures for row in fut.result()]
+    try:
+        with ProcessPoolExecutor(min(WORKERS, len(tasks)), multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_benchmark_task, config, n, rep, idx) for idx, (n, rep) in enumerate(tasks)]
+            records = [row for fut in futures for row in fut.result()]
+    except BrokenProcessPool as exc:
+        raise MatchbenchError(f"a benchmark worker process died: {exc}") from exc
 
     records.sort(key=lambda r: (r["method"], r["n"], r["replication"]))
     long_rows = [

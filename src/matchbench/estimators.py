@@ -26,7 +26,7 @@ from .saliency import svd_decompose
 _TWO_PI = 2.0 * math.pi
 _EIGEN_FLOOR_RATIO = 1e-10
 _MOMENTS_OVERFLOW = "sample: second moments overflow a float; rescale the columns"
-# threads of the ``benchmark`` pool and of the kernel regression's point blocks
+# worker processes of the ``benchmark`` sweep, and threads of the kernel regression's point blocks
 WORKERS = min(4, os.cpu_count() or 1)
 # kernel-regression tiles split the n columns evenly, each at least this wide
 # unless n is narrower: numpy's loops ran at half speed on tiles under 4096

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import shlex
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matchbench
-from matchbench import ConfigError, MatchedSample, oracle
+from matchbench import ConfigError, MatchedSample, NumericalError, cli, oracle
 from matchbench.cli import _apply_overrides, angular_error, build_parser, load_config, main
 from matchbench.distributions import KINDS
 
@@ -648,13 +649,19 @@ class TestCounterexampleCommand:
         assert not (tmp_path / "o1").exists()
 
 
-def benchmark_at_cpu_counts(cfg, tmp_path, monkeypatch, counts):
-    """Run ``benchmark`` once per CPU count, assert the tables are
-    byte-identical, and return the first run's output directory."""
-    outs = [tmp_path / f"cpus{cpus}" for cpus in counts]
-    for cpus, out in zip(counts, outs):
-        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+def raise_(error):
+    raise error
+
+
+def benchmark_at_pool_sizes(cfg, tmp_path, monkeypatch, sizes):
+    """Run ``benchmark`` once per worker-pool size, assert the tables are
+    byte-identical and that no worker process outlives the command, and
+    return the first run's output directory."""
+    outs = [tmp_path / f"workers{size}" for size in sizes]
+    for size, out in zip(sizes, outs):
+        monkeypatch.setattr(cli, "WORKERS", size)
         assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
     for name in ("benchmark.csv", "benchmark_long.csv"):
         assert len({(out / name).read_bytes() for out in outs}) == 1
     return outs[0]
@@ -663,7 +670,7 @@ def benchmark_at_cpu_counts(cfg, tmp_path, monkeypatch, counts):
 class TestBenchmark:
     def test_table_shape_and_determinism(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "cfg.json", sweep=[200, 400], replications=3)
-        out = benchmark_at_cpu_counts(cfg, tmp_path, monkeypatch, (1, 3))
+        out = benchmark_at_pool_sizes(cfg, tmp_path, monkeypatch, (1, 3))
         lines = (out / "benchmark.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2  # header + methods x sweep
         long_lines = (out / "benchmark_long.csv").read_text().splitlines()
@@ -674,7 +681,36 @@ class TestBenchmark:
         # the CPUs with BLAS threads; the tables must not notice
         cfg = write_config(tmp_path / "cfg.json", sweep=[12000], replications=2,
                            methods=["spearman"], spearman={"restarts": 1})
-        benchmark_at_cpu_counts(cfg, tmp_path, monkeypatch, (1, 2))
+        benchmark_at_pool_sizes(cfg, tmp_path, monkeypatch, (1, 2))
+
+    def test_nelder_mead_records_independent_of_pool_size(self, tmp_path, monkeypatch):
+        # a 3x2 market has no exact arc, so every spearman record comes from the Nelder-Mead restarts
+        market = {"dx": 3, "dy": 2, "alpha": [1.0, 1.0, 1.0], "beta": [1.0, 1.0],
+                  "p_gaussian_cov": [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                  "q_gaussian_cov": [[1.0, 0.0], [0.0, 1.0]], "phi": "product"}
+        cfg = write_config(tmp_path / "cfg.json", market=market, sweep=[300, 600], replications=2,
+                           methods=["cca", "spearman"], spearman={"restarts": 2})
+        out = benchmark_at_pool_sizes(cfg, tmp_path, monkeypatch, (1, 3))
+        rows = (out / "benchmark_long.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * 2 * 2 and all(row.split(",")[5] for row in rows)
+
+    @pytest.mark.parametrize("fail, rc, shown", [
+        # a worker killed for memory breaks the pool the same way
+        (lambda: os._exit(1), 3, "error: a benchmark worker process died: "),
+        (lambda: raise_(NumericalError("zero variance")), 3, "numerical failure: zero variance\n"),
+        (lambda: raise_(ValueError("bad value")), 2, "config error: bad value\n"),
+        (lambda: raise_(MemoryError("8 PiB")), 3, "error: out of memory: 8 PiB\n"),
+    ], ids=["dead-worker", "numerical", "value", "memory"])
+    def test_worker_failure_exits_with_a_code_and_leaves_no_process(self, tmp_path, capsys, monkeypatch,
+                                                                    fail, rc, shown):
+        monkeypatch.setitem(cli.ESTIMATORS, "cca", lambda *args: fail())
+        cfg = write_config(tmp_path / "cfg.json", sweep=[200], replications=3, methods=["cca"])
+        out = tmp_path / "o"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        assert err.startswith(shown) and err.count("\n") == 1
+        assert not (out / "benchmark.csv").exists()
+        assert multiprocessing.active_children() == []
 
     def test_single_replication_leaves_sd_empty(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", sweep=[200], replications=1, methods=["cca"])
@@ -825,6 +861,12 @@ class TestEntryPoint:
         # only Gaussian tails load it, so every other command starts without it
         out = fresh_python("-c", "import sys, matchbench.cli; print(sorted(m for m in sys.modules "
                            "if m.split('.')[0] == 'scipy'))")
+        assert out.strip() == "[]"
+
+    def test_import_loads_no_multiprocessing(self, fresh_python):
+        # only the benchmark command starts worker processes, so it alone imports their modules
+        out = fresh_python("-c", "import sys, matchbench.cli; print(sorted(m for m in sys.modules "
+                           "if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'))")
         assert out.strip() == "[]"
 
     def test_commands_off_gaussian_tails_load_no_scipy(self, tmp_path, fresh_python):
