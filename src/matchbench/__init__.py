@@ -39,11 +39,11 @@ from .market import (
 )
 from .oracle import (
     CounterexampleReport,
+    closed_form,
     closed_form_counterexample,
     monte_carlo_counterexample,
     numeric_counterexample,
     quad_integrate,
-    quadrature_counterexample,
 )
 from .saliency import (
     AffinityDecomposition,

@@ -21,24 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, MatchbenchError, NumericalError
-from .estimators import (
-    WORKERS,
-    cca,
-    compute_moments,
-    mrs_estimate,
-    ols_index,
-    population_moments_gaussian,
-    spearman_estimate,
-)
+from .estimators import WORKERS, cca, compute_moments, mrs_estimate, ols_index, spearman_estimate
 from .market import MarketSpec, MatchedSample, counterexample_market, real_array, simulate_market
-from .oracle import (
-    CounterexampleReport,
-    closed_form_counterexample,
-    monte_carlo_counterexample,
-    numeric_counterexample,
-    quadrature_counterexample,
-    simulated_monte_carlo,
-)
+from .oracle import closed_form, monte_carlo_counterexample, numeric_counterexample
 from .saliency import rank1_weights, svd_decompose
 from .distributions import gaussian
 
@@ -285,19 +270,11 @@ def cmd_counterexample(args) -> int:
     _count("--seed", seed, 0)
     out = _out_dir(args)
 
+    spec = _gaussian_comparison_market() if args.gaussian else counterexample_market()
+    closed, terms = closed_form(spec)
     # Monte Carlo first: a --n too large to allocate fails before any quadrature runs
-    if args.gaussian:
-        spec = _gaussian_comparison_market()
-        mc = simulated_monte_carlo(spec, n, seed)
-        # the transfer map is linear, so cov(X, T) is the population Sxy times beta
-        cov_x1, cov_x2 = population_moments_gaussian(spec).Sxy @ spec.beta
-        closed = CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "closed_form")
-        quad = numeric_counterexample(spec, tol)
-    else:
-        spec = counterexample_market()
-        mc = monte_carlo_counterexample(n, seed)
-        closed = closed_form_counterexample()
-        quad = quadrature_counterexample(tol)
+    mc = monte_carlo_counterexample(spec, n, seed, terms)
+    quad = numeric_counterexample(spec, tol, terms)
 
     def within(a: float, b: float, band: float) -> bool:
         return bool(abs(a - b) <= band)
@@ -383,12 +360,21 @@ def cmd_benchmark(args) -> int:
 
     tasks = [(n, rep) for n in config.sweep for rep in range(config.replications)]
     # outputs do not depend on the worker count: every task seeds itself from its index
+    pool = ProcessPoolExecutor(min(WORKERS, len(tasks)), multiprocessing.get_context("fork"))
     try:
-        with ProcessPoolExecutor(min(WORKERS, len(tasks)), multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_benchmark_task, config, n, rep, idx) for idx, (n, rep) in enumerate(tasks)]
-            records = [row for fut in futures for row in fut.result()]
-    except BrokenProcessPool as exc:
-        raise MatchbenchError(f"a benchmark worker process died: {exc}") from exc
+        futures = [pool.submit(_benchmark_task, config, n, rep, idx) for idx, (n, rep) in enumerate(tasks)]
+        records = [row for fut in futures for row in fut.result()]
+    except BaseException as exc:
+        # fail fast: shutdown's cancel_futures cannot reach the tasks already on the call queue, and
+        # Python < 3.14 has no public way to stop a worker, so each is ended through the pool's private
+        # process table; shutdown then waits for the pool's manager thread, which reaps them
+        for worker in pool._processes.values():
+            worker.terminate()
+        pool.shutdown(cancel_futures=True)
+        if isinstance(exc, BrokenProcessPool):
+            raise MatchbenchError(f"a benchmark worker process died: {exc}") from exc
+        raise
+    pool.shutdown()
 
     records.sort(key=lambda r: (r["method"], r["n"], r["replication"]))
     long_rows = [

@@ -1,10 +1,10 @@
 """Ground-truth engine for the canonical-correlation bias benchmark.
 
-Three independent routes produce the matched-outcome covariances of the
-two-attribute benchmark market: exact closed forms, adaptive quadrature
-over the population transfer map, and Monte Carlo over a simulated sample
-matched by sorting, which evaluates no transfer map at all. Their agreement
-is what the test suite leans on.
+Three independent routes produce the matched-outcome covariances of a
+two-attribute market: exact closed forms (the benchmark market's, or a
+Gaussian market's), adaptive quadrature over the population transfer map,
+and Monte Carlo over a simulated sample matched by sorting, which evaluates
+no transfer map at all. Their agreement is what the test suite leans on.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .distributions import (
     scaled_sf,
 )
 from .errors import NumericalError, QuadratureConvergenceError
+from .estimators import population_moments_gaussian
 from .market import MarketSpec, counterexample_market, simulate_market
 
 # G, the CDF of the benchmark market's second x attribute X2 ~ Exp(1)
@@ -252,6 +253,21 @@ def closed_form_counterexample() -> CounterexampleReport:
     )
 
 
+def closed_form(spec: MarketSpec) -> tuple[CounterexampleReport, tuple]:
+    """Exact column of ``spec`` and the named expectation-term rows (see
+    ``_TERMS``) the quadrature and Monte Carlo columns report beside it.
+
+    The benchmark market gets its formulas and its six terms. Any other
+    market must be Gaussian on both sides: its transfer map is linear, so
+    cov(X, T) is the population Sxy times beta, and it has no terms. A
+    non-Gaussian side raises ``ValueError``.
+    """
+    if spec.to_json() == counterexample_market().to_json():
+        return closed_form_counterexample(), _TERMS
+    cov_x1, cov_x2 = population_moments_gaussian(spec).Sxy @ spec.beta
+    return CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "closed_form"), ()
+
+
 # finite ends of each kind's support, where its CDF has a kink; the coin has
 # none to split at, since quad_integrate sums its two atoms exactly
 _SUPPORT_ENDS = {"gaussian": (), "exponential": (0.0,), "uniform01": (0.0, 1.0), "rademacher": ()}
@@ -390,12 +406,6 @@ def numeric_counterexample(spec: MarketSpec, tol: float, terms=()) -> Counterexa
                                                  dict(zip([key for key, *_ in terms], means)), diagnostics=stats)
 
 
-def quadrature_counterexample(tol: float) -> CounterexampleReport:
-    """Quadrature column for the benchmark market: its covariances and
-    named expectation terms over the population transfer map."""
-    return numeric_counterexample(counterexample_market(), tol, _TERMS)
-
-
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     """Sample mean of ``values`` and its standard error."""
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
@@ -421,7 +431,7 @@ def _cov_stderrs(x1, x2, t) -> tuple[float, float, dict[str, float]]:
     return covs[0], covs[1], stderrs
 
 
-def simulated_monte_carlo(spec: MarketSpec, n: int, seed: int, terms=()) -> CounterexampleReport:
+def monte_carlo_counterexample(spec: MarketSpec, n: int, seed: int, terms=()) -> CounterexampleReport:
     """Monte Carlo column of a two-attribute market, obtained through the full
     simulation pipeline (sampling and the coupling sort), with standard errors.
 
@@ -437,9 +447,3 @@ def simulated_monte_carlo(spec: MarketSpec, n: int, seed: int, terms=()) -> Coun
     return CounterexampleReport.from_covariances(
         spec.alpha, cov_x1, cov_x2, "monte_carlo", means, {**stderrs, **cov_stderrs}
     )
-
-
-def monte_carlo_counterexample(n: int = 1_000_000, seed: int = 0) -> CounterexampleReport:
-    """Monte Carlo column for the benchmark market: its covariances and
-    named expectation terms over one simulated sample matched by sorting."""
-    return simulated_monte_carlo(counterexample_market(), n, seed, _TERMS)

@@ -653,6 +653,14 @@ def raise_(error):
     raise error
 
 
+def task_failing_at_200(config, n, rep, task_index, real=cli._benchmark_task):
+    """A benchmark task that fails at n = 200 and runs as usual otherwise; module
+    level, so the pool can pickle it by name."""
+    if n == 200:
+        raise NumericalError("injected at n = 200")
+    return real(config, n, rep, task_index)
+
+
 def benchmark_at_pool_sizes(cfg, tmp_path, monkeypatch, sizes):
     """Run ``benchmark`` once per worker-pool size, assert the tables are
     byte-identical and that no worker process outlives the command, and
@@ -710,6 +718,16 @@ class TestBenchmark:
         err = capsys.readouterr().err
         assert err.startswith(shown) and err.count("\n") == 1
         assert not (out / "benchmark.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_task_ends_the_queued_ones(self, tmp_path, capsys, monkeypatch):
+        # the n = 1e6 tasks take about 30 s to run on two workers; the failure at n = 200 must not wait for them
+        monkeypatch.setattr(cli, "_benchmark_task", task_failing_at_200)
+        cfg = write_config(tmp_path / "cfg.json", sweep=[200, 1_000_000], replications=4, methods=["cca", "mrs"])
+        started = time.perf_counter()
+        assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert time.perf_counter() - started < 2.0
+        assert capsys.readouterr().err == "numerical failure: injected at n = 200\n"
         assert multiprocessing.active_children() == []
 
     def test_single_replication_leaves_sd_empty(self, tmp_path):

@@ -12,24 +12,19 @@ from matchbench import (
     MarketSpec,
     NumericalError,
     QuadratureConvergenceError,
+    closed_form,
     closed_form_counterexample,
     counterexample_market,
     exponential,
     gaussian,
     monte_carlo_counterexample,
     numeric_counterexample,
-    population_moments_gaussian,
     quad_integrate,
-    quadrature_counterexample,
     rademacher,
     uniform01,
 )
 from matchbench import oracle
-from matchbench.oracle import (
-    QuadratureStats,
-    population_transfer_map,
-    simulated_monte_carlo,
-)
+from matchbench.oracle import QuadratureStats, population_transfer_map
 
 E2 = math.exp(-2.0)
 
@@ -59,6 +54,16 @@ class TestClosedForms:
         obj = closed_form_counterexample().to_json_dict()
         assert obj["ratio_cca"]["symbolic"] == "(3+e^2)/(2e^2-2)"
         assert len(obj["ratio_cca"]["decimal17"].replace("0.", "")) >= 16
+
+    def test_benchmark_market_gets_its_formulas_and_terms(self):
+        closed, terms = closed_form(counterexample_market())
+        assert terms is oracle._TERMS
+        assert closed.to_json_dict() == closed_form_counterexample().to_json_dict()
+
+    def test_non_gaussian_market_is_refused(self):
+        # closed_form knows the benchmark market and Gaussian markets only
+        with pytest.raises(ValueError, match="P components must all be gaussian"):
+            closed_form(EXP_EXP_MARKET)
 
 
 class TestMatchedOutcome:
@@ -151,7 +156,7 @@ class TestQuadrature:
 
     def test_terms_match_closed_forms(self):
         closed = closed_form_counterexample().expectation_terms
-        quad = quadrature_counterexample(1e-9).expectation_terms
+        quad = numeric_counterexample(counterexample_market(), 1e-9, oracle._TERMS).expectation_terms
         for key, value in closed.items():
             assert abs(quad[key] - value) <= 1e-9, key
 
@@ -174,7 +179,7 @@ class TestNumericCounterexample:
         assert abs(report.ratio_cca - expected) <= 1e-6
         assert abs(report.cov_x1 - (1.0 - E2) / 4.0) <= 1e-8
         assert abs(report.cov_x2 - (3.0 * E2 + 1.0) / 8.0) <= 1e-8
-        # the benchmark's named terms are integrated only when asked for (quadrature_counterexample)
+        # the benchmark's named terms are integrated only when asked for (closed_form returns them)
         assert report.expectation_terms == {}
 
     @pytest.mark.parametrize("spec, terms", [(counterexample_market(), oracle._TERMS), (EXP_EXP_MARKET, ())],
@@ -211,21 +216,24 @@ class TestNumericCounterexample:
             numeric_counterexample(spec, 1e-9)
 
     def test_gaussian_closed_form_matches_quadrature(self):
-        spec = MarketSpec(dx=2, dy=1, alpha=[0.6, 0.8], beta=[2.0],
-                          p_components=(gaussian(1.0), gaussian(2.0)),
-                          q_components=(gaussian(0.7),))
-        # cov(X, T) with T = beta * Y the matched y-side index
-        cov_x1, cov_x2 = population_moments_gaussian(spec).Sxy @ spec.beta
-        quad = numeric_counterexample(spec, 1e-8)
-        assert abs(cov_x1 - quad.cov_x1) <= 1e-6
-        assert abs(cov_x2 - quad.cov_x2) <= 1e-6
+        scaled = MarketSpec(dx=2, dy=1, alpha=[0.6, 0.8], beta=[2.0],
+                            p_components=(gaussian(1.0), gaussian(2.0)),
+                            q_components=(gaussian(0.7),))
+        for spec in (scaled, N01_MARKET):
+            # cov(X, T) with T = beta * Y the matched y-side index
+            closed, terms = closed_form(spec)
+            quad = numeric_counterexample(spec, 1e-8)
+            assert terms == () and closed.method == "closed_form"
+            assert abs(closed.cov_x1 - quad.cov_x1) <= 1e-6
+            assert abs(closed.cov_x2 - quad.cov_x2) <= 1e-6
 
 
 class TestTripleAgreement:
     def test_all_three_routes_agree(self):
-        closed = closed_form_counterexample()
-        quad = quadrature_counterexample(1e-9)
-        mc = monte_carlo_counterexample(1_000_000, seed=99)
+        spec = counterexample_market()
+        closed, terms = closed_form(spec)
+        quad = numeric_counterexample(spec, 1e-9, terms)
+        mc = monte_carlo_counterexample(spec, 1_000_000, seed=99, terms=terms)
         assert abs(quad.cov_x1 - closed.cov_x1) <= 1e-8
         assert abs(quad.cov_x2 - closed.cov_x2) <= 1e-8
         assert abs(mc.cov_x1 - closed.cov_x1) <= 3 * mc.stderrs["cov_x1"]
@@ -235,14 +243,14 @@ class TestTripleAgreement:
             assert abs(mc.expectation_terms[key] - value) <= 3 * mc.stderrs[key], key
 
     def test_monte_carlo_deterministic(self):
-        a = monte_carlo_counterexample(10_000, seed=4)
-        b = monte_carlo_counterexample(10_000, seed=4)
+        a = monte_carlo_counterexample(counterexample_market(), 10_000, seed=4, terms=oracle._TERMS)
+        b = monte_carlo_counterexample(counterexample_market(), 10_000, seed=4, terms=oracle._TERMS)
         assert a.cov_x1 == b.cov_x1 and a.cov_x2 == b.cov_x2
 
     def test_zero_sample_covariance_is_a_numerical_error(self):
         # both draws share a coin value, so the sample cov_x1 is exactly 0
         with pytest.raises(NumericalError, match="cov_x1"):
-            monte_carlo_counterexample(2, seed=2)
+            monte_carlo_counterexample(counterexample_market(), 2, seed=2, terms=oracle._TERMS)
 
 
 class TestTailPrecision:
@@ -256,9 +264,9 @@ class TestTailPrecision:
     def test_gaussian_market_at_tight_tol(self):
         tol = 1e-9
         report = numeric_counterexample(N01_MARKET, tol)
-        closed = population_moments_gaussian(N01_MARKET).Sxy @ N01_MARKET.beta
-        assert abs(report.cov_x1 - closed[0]) <= 10 * tol
-        assert abs(report.cov_x2 - closed[1]) <= 10 * tol
+        closed, _ = closed_form(N01_MARKET)
+        assert abs(report.cov_x1 - closed.cov_x1) <= 10 * tol
+        assert abs(report.cov_x2 - closed.cov_x2) <= 10 * tol
         assert report.diagnostics.panels < 20_000
 
     def test_consistency_condition_holds_at_tight_tol(self):
@@ -288,7 +296,7 @@ class TestGenericBranch:
         started = time.perf_counter()
         quad = numeric_counterexample(spec, 1e-4)
         elapsed = time.perf_counter() - started
-        mc = simulated_monte_carlo(spec, 1_000_000, seed=11)
+        mc = monte_carlo_counterexample(spec, 1_000_000, seed=11)
         assert elapsed < 1.0
         for key in ("cov_x1", "cov_x2"):
             assert abs(getattr(quad, key) - getattr(mc, key)) <= 3 * mc.stderrs[key], key
@@ -419,7 +427,7 @@ class TestCoinPath:
         assert stats.panels == 0
 
     def test_benchmark_expectation_terms_are_pinned(self):
-        report = quadrature_counterexample(1e-9)
+        report = numeric_counterexample(counterexample_market(), 1e-9, oracle._TERMS)
         assert {key: repr(value) for key, value in report.expectation_terms.items()} == {
             "mean_cdf_shift_plus2": "0.9323323583816908",
             "mean_cdf_shift_minus2": "0.06766764161830612",
@@ -446,7 +454,7 @@ class TestCoinPath:
     def test_small_second_weight_above_the_bound_matches_simulation(self):
         spec = coin_market([1.0, 1e-4], exponential(1.0), gaussian(0.7))
         quad = numeric_counterexample(spec, 1e-9)
-        mc = simulated_monte_carlo(spec, 200_000, seed=3)
+        mc = monte_carlo_counterexample(spec, 200_000, seed=3)
         for key in ("cov_x1", "cov_x2"):
             assert abs(getattr(quad, key) - getattr(mc, key)) <= 5 * mc.stderrs[key], key
 
@@ -488,6 +496,6 @@ class TestCrossRoute:
             assert alpha[1] == 0.0 and first.kind == "rademacher", exc
             assert "alpha: a zero second weight leaves the coin alone" in str(exc)
             return
-        mc = simulated_monte_carlo(spec, 200_000, seed=3)
+        mc = monte_carlo_counterexample(spec, 200_000, seed=3)
         for key in ("cov_x1", "cov_x2"):
             assert abs(getattr(quad, key) - getattr(mc, key)) <= 5 * mc.stderrs[key], key
