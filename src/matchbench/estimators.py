@@ -12,6 +12,7 @@ in the diagnostics.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -104,9 +105,10 @@ def compute_moments(sample: MatchedSample) -> MomentSet:
         raise ValueError("need at least two couples")
     n = sample.n
     with np.errstate(over="ignore", invalid="ignore"):
-        xc = sample.xs - sample.xs.mean(axis=0)
-        yc = sample.ys - sample.ys.mean(axis=0)
-        moments = MomentSet(Sxx=xc.T @ xc / n, Syy=yc.T @ yc / n, Sxy=xc.T @ yc / n)
+        # centered columns as contiguous rows, multiplied in numpy's own loop:
+        # OpenBLAS splits a long dot by its thread count, and rounds by it
+        xt, yt = (np.subtract(side.T, side.mean(axis=0)[:, None], order="C") for side in (sample.xs, sample.ys))
+        moments = MomentSet(*(np.einsum("ji,ki->jk", a, b) / n for a, b in ((xt, xt), (yt, yt), (xt, yt))))
     if not all(np.isfinite(S).all() for S in (moments.Sxx, moments.Syy, moments.Sxy)):
         raise ValueError(_MOMENTS_OVERFLOW)
     return moments
@@ -211,11 +213,19 @@ def _exact_dot4(a: np.ndarray, b: np.ndarray) -> int:
     return sum(int(4.0 * np.einsum("i,i->", a[i : i + chunk], b[i : i + chunk])) for i in range(0, n, chunk))
 
 
+def _dot4_scale(n: int) -> int:
+    # one correctly rounded division of an exact dot by this is a rank-product
+    # mean, so the comonotone maximum lands exactly on the bound at every n
+    return 4 * n * (n + 1) * (n + 1)
+
+
+def _bound_dot4(n: int) -> int:
+    """``spearman_upper_bound(n)`` in exact dot units: 4 * sum of i^2 over 1..n."""
+    return 2 * n * (n + 1) * (2 * n + 1) // 3
+
+
 def _rank_product_mean(rank_u: np.ndarray, rank_v: np.ndarray) -> float:
-    # one correctly rounded division of exact integers, so the comonotone
-    # maximum lands exactly on spearman_upper_bound(n) at every n
-    n = rank_u.size
-    return _exact_dot4(rank_u, rank_v) / (4 * n * (n + 1) * (n + 1))
+    return _exact_dot4(rank_u, rank_v) / _dot4_scale(rank_u.size)
 
 
 def spearman_objective(sample: MatchedSample, alpha, beta) -> float:
@@ -229,7 +239,7 @@ def spearman_objective(sample: MatchedSample, alpha, beta) -> float:
 
 def spearman_upper_bound(n: int) -> float:
     """Finite-sample maximum of the rank-product objective, (2n+1)/(6(n+1))."""
-    return (n * (n + 1) * (2 * n + 1) // 6) / (n * (n + 1) * (n + 1))
+    return _bound_dot4(n) / _dot4_scale(n)
 
 
 def spearman_objective_prob_form(sample: MatchedSample, alpha, beta) -> float:
@@ -383,99 +393,85 @@ def _comonotone_arc(sample: MatchedSample) -> tuple[float, float] | None:
     return (lo, hi) if lo < hi else None
 
 
-def _bound_dot4(n: int) -> int:
-    """``spearman_upper_bound(n)`` in exact dot units: 4 * sum of i^2 over 1..n."""
-    return 2 * n * (n + 1) * (2 * n + 1) // 3
-
-
 def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) -> EstimatorResult:
     """Maximize the rank-product objective over unit weight vectors.
 
-    On a dx=2, dy=1 sample the comonotone arc comes first: one sort of y
-    gives the open arc of x angles on which the objective attains
-    ``spearman_upper_bound(n)`` (``_comonotone_arc``). When that arc is
-    not empty, its midpoint is evaluated once, exactly; if the value is
-    the bound, the midpoint is the estimate, with ``argmax_interval``
-    (lo, hi, width) in the diagnostics and ``objective_evaluations`` 1.
-    Every other sample, and every other shape, goes to ``_rank_search``,
-    whose result is returned unchanged: the grid and Nelder-Mead restarts,
-    with ``argmax_interval`` None. Both paths report ``gap``, the bound
-    minus the objective in exact units of 1 / (4 n (n + 1)^2): 0 exactly
-    when the estimate is a maximizer of a sample with no ties in y.
-    """
-    arc = _comonotone_arc(sample) if (sample.dx, sample.dy) == (2, 1) else None
-    if arc is not None:
-        lo, hi = arc
-        mid = 0.5 * (lo + hi)
-        alpha, beta = _unit_from_angles(np.array([mid]), 2), np.array([1.0])
-        dot = _exact_dot4(average_ranks(sample.x_index(alpha)), average_ranks(sample.ys[:, 0]))
-        # the check that makes the midpoint an exact maximizer, not a float guess
-        if lo < mid < hi and dot == _bound_dot4(sample.n):
-            bound = spearman_upper_bound(sample.n)
-            return EstimatorResult(
-                alpha_hat=normalize_weights(alpha),
-                beta_hat=beta,
-                objective=bound,
-                method="spearman",
-                diagnostics={
-                    "restarts": restarts,
-                    "local_optima": [],
-                    "grid": None,
-                    "alpha_argmax": alpha,
-                    "beta_argmax": beta,
-                    "upper_bound": bound,
-                    "objective_evaluations": 1,
-                    "argmax_interval": {"lo": lo, "hi": hi, "width": hi - lo},
-                    "gap": 0,
-                },
-            )
-    return _rank_search(sample, restarts, seed)
-
-
-def _rank_search(sample: MatchedSample, restarts: int, seed: int) -> EstimatorResult:
-    """Search the rank-product objective over unit weight vectors.
-
-    Multistart Nelder-Mead on spherical angle coordinates (the objective is
-    scale-invariant per side, so spheres lose nothing), plus an angular
-    grid sweep with local refinement when the search space is a single
-    circle (dx=2, dy=1): 512 coarse angles, of which only the first half is
-    ranked since the antipodal half follows exactly from reversed ranks,
-    then a 1e-3 fine grid around the best three. The objective need
-    not be concave, so all local optima found are kept in the diagnostics.
-    The argmax is the first candidate with the largest objective, so ties
-    go to the earlier restart, and restarts come before grid points.
-    Each restart runs ``_nelder_mead``, which gives scipy's Nelder-Mead
-    result bit for bit without loading scipy, and reports its evaluations,
-    iterations and convergence in its local optimum. ``gap`` is read from
-    the exact dot of the evaluation that produced the argmax.
+    One search with up to three candidate sources. On a dx=2, dy=1 sample
+    the first is the comonotone arc (``_comonotone_arc``): the open arc of
+    x angles, found by one sort of y, on which the objective attains
+    ``spearman_upper_bound(n)``. Its midpoint is evaluated once, and if its
+    exact value is the bound the search returns it at once, with
+    ``argmax_interval`` (lo, hi, width) and ``objective_evaluations`` 1.
+    A midpoint short of the bound is not counted, and the search goes on
+    as with no arc, with ``argmax_interval`` None: multistart Nelder-Mead
+    on spherical angle coordinates (the objective is scale-invariant per
+    side, so spheres lose nothing), plus an angular grid sweep with local
+    refinement when the search space is a single circle (dx=2, dy=1): 512
+    coarse angles, of which only the first half is ranked since the
+    antipodal half follows exactly from reversed ranks, then a 1e-3 fine
+    grid around the best three. The objective need not be concave, so all
+    local optima found are kept in the diagnostics. The argmax is the
+    first candidate with the largest objective, so ties go to the earlier
+    restart, and restarts come before grid points. Each restart runs
+    ``_nelder_mead``, which gives scipy's Nelder-Mead result bit for bit
+    without loading scipy, and reports its evaluations, iterations and
+    convergence in its local optimum. Every result has the same
+    diagnostics keys. The objective is the argmax's exact rank dot over
+    4 n (n + 1)^2, rounded once; any argmax but the arc's is ranked once
+    more for it, outside the evaluation count. ``gap`` is the
+    bound minus the objective in exact units of 1 / (4 n (n + 1)^2): 0
+    exactly when the estimate is a maximizer of a sample with no ties in y.
     """
     x_ranks = _ranker(sample.xs)
     y_ranks = _ranker(sample.ys)
     n = sample.n
-    # the one rounding of _rank_product_mean
-    scale = 4 * n * (n + 1) * (n + 1)
+    scale = _dot4_scale(n)
     evaluations = 0
-    # every candidate is a point this evaluated, bit for bit
-    exact: dict[bytes, int] = {}
+    local_optima: list[dict] = []
+    grid_info = None
 
     def dot4(alpha: np.ndarray, beta: np.ndarray) -> int:
         nonlocal evaluations
         evaluations += 1
-        d = _exact_dot4(x_ranks(alpha), y_ranks(beta))
-        exact[alpha.tobytes() + beta.tobytes()] = d
-        return d
+        return _exact_dot4(x_ranks(alpha), y_ranks(beta))
 
     def value(alpha: np.ndarray, beta: np.ndarray) -> float:
         return dot4(alpha, beta) / scale
 
-    ax = sample.dx - 1
-    ay = sample.dy - 1
-    local_optima: list[dict] = []
+    def result(alpha: np.ndarray, beta: np.ndarray, dot: int, interval: dict | None = None) -> EstimatorResult:
+        return EstimatorResult(
+            alpha_hat=normalize_weights(alpha),
+            beta_hat=normalize_weights(beta),
+            objective=dot / scale,
+            method="spearman",
+            diagnostics={
+                "restarts": restarts,
+                "local_optima": local_optima,
+                "grid": grid_info,
+                "alpha_argmax": alpha,
+                "beta_argmax": beta,
+                "upper_bound": spearman_upper_bound(n),
+                "objective_evaluations": evaluations,
+                "argmax_interval": interval,
+                "gap": _bound_dot4(n) - dot,
+            },
+        )
 
+    circle = (sample.dx, sample.dy) == (2, 1)
+    arc = _comonotone_arc(sample) if circle else None
+    if arc is not None:
+        lo, hi = arc
+        mid = 0.5 * (lo + hi)
+        alpha, beta = _unit_from_angles(np.array([mid]), 2), np.array([1.0])
+        # the check that makes the midpoint an exact maximizer, not a float guess
+        if lo < mid < hi and dot4(alpha, beta) == _bound_dot4(n):
+            return result(alpha, beta, _bound_dot4(n), {"lo": lo, "hi": hi, "width": hi - lo})
+        evaluations = 0  # a midpoint short of the bound is not counted
+
+    ax, ay = sample.dx - 1, sample.dy - 1
     if ax + ay == 0:
         for sign in (1.0, -1.0):
-            alpha = np.array([1.0])
-            beta = np.array([sign])
+            alpha, beta = np.array([1.0]), np.array([sign])
             local_optima.append({"objective": value(alpha, beta), "alpha": alpha, "beta": beta, "source": "sign"})
     else:
         def unpack(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -499,8 +495,7 @@ def _rank_search(sample: MatchedSample, restarts: int, seed: int) -> EstimatorRe
             })
 
     candidates = [(o["objective"], o["alpha"], o["beta"]) for o in local_optima]
-    grid_info = None
-    if sample.dx == 2 and sample.dy == 1:
+    if circle:
         beta_grid = np.array([1.0])
         m = _COARSE_CIRCLE.size // 2
         # only the first half is sorted: the ranks of -u are n + 1 - r_u,
@@ -533,25 +528,8 @@ def _rank_search(sample: MatchedSample, restarts: int, seed: int) -> EstimatorRe
 
     if not candidates:
         raise ValueError("no search candidates; need restarts >= 1 for this shape")
-    best_obj, best_alpha, best_beta = max(candidates, key=lambda c: c[0])
-
-    return EstimatorResult(
-        alpha_hat=normalize_weights(best_alpha),
-        beta_hat=normalize_weights(best_beta),
-        objective=best_obj,
-        method="spearman",
-        diagnostics={
-            "restarts": restarts,
-            "local_optima": local_optima,
-            "grid": grid_info,
-            "alpha_argmax": best_alpha,
-            "beta_argmax": best_beta,
-            "upper_bound": spearman_upper_bound(sample.n),
-            "objective_evaluations": evaluations,
-            "argmax_interval": None,
-            "gap": _bound_dot4(n) - exact[best_alpha.tobytes() + best_beta.tobytes()],
-        },
-    )
+    _, best_alpha, best_beta = max(candidates, key=lambda c: c[0])
+    return result(best_alpha, best_beta, _exact_dot4(x_ranks(best_alpha), y_ranks(best_beta)))
 
 
 def kernel_regression(sample: MatchedSample, points, bandwidths) -> np.ndarray:
@@ -583,8 +561,14 @@ def kernel_regression(sample: MatchedSample, points, bandwidths) -> np.ndarray:
     width = -(-n // max(1, n // _TILE))
     tiles = [slice(c, c + width) for c in range(0, n, width)]
     # Allocated here, not in the workers: freed memory that a worker thread's
-    # malloc arena took stays in the process.
-    buffers = np.empty((workers, rows, n))
+    # malloc arena took stays in the process. An anonymous map, unmapped when
+    # freed: a freed malloc block this size raises glibc's mmap threshold, and
+    # the next call's buffer then stays resident in the untrimmed heap.
+    try:
+        block = mmap.mmap(-1, workers * rows * n * 8)
+    except OSError as exc:  # what np.empty reports as MemoryError
+        raise MemoryError(f"kernel regression buffer: {exc}") from exc
+    buffers = np.frombuffer(block, dtype=float).reshape(workers, rows, n)
     # The sum of squares builds up in the weights, which hold the first
     # column's term; each later column's term is formed in a spare tile and
     # added straight in, in attribute order.

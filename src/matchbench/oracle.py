@@ -260,10 +260,12 @@ def closed_form(spec: MarketSpec) -> tuple[CounterexampleReport, tuple]:
     The benchmark market gets its formulas and its six terms. Any other
     market must be Gaussian on both sides: its transfer map is linear, so
     cov(X, T) is the population Sxy times beta, and it has no terms. A
-    non-Gaussian side raises ``ValueError``.
+    non-Gaussian side or dx other than 2 raises ``ValueError``.
     """
     if spec.to_json() == counterexample_market().to_json():
         return closed_form_counterexample(), _TERMS
+    if spec.dx != 2:
+        raise ValueError(f"market: the oracle takes two x attributes, got dx = {spec.dx}")
     cov_x1, cov_x2 = population_moments_gaussian(spec).Sxy @ spec.beta
     return CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "closed_form"), ()
 

@@ -1,19 +1,20 @@
 """Hot-path guard, with the standard library's ``ast`` only: the exact
-rank-product sum and the kernel regression must not reach BLAS, for two
-reasons.
+rank-product sum, the second moments and the kernel regression must not
+reach BLAS, for two reasons.
 
 - Oversubscription. At n above about 1e4 OpenBLAS runs a product on its
   own threads, which spin on the CPUs the ``benchmark`` pool's workers and
   the kernel regression's own workers need.
 - Bits that depend on the thread count. OpenBLAS splits a product by its
   thread count, so the rounding of a float product, and with it the
-  ``mrs`` output bytes, would change from one machine to the next. The
-  rank sum is exact in any order; the kernel regression reduces each row
-  with numpy's pairwise sum instead.
+  ``cca``, ``ols`` and ``mrs`` output bytes, would change from one machine
+  to the next. The rank sum is exact in any order; the moments use
+  ``einsum``'s own loop, and the kernel regression reduces each row with
+  numpy's pairwise sum instead.
 
 No output test can see the rank sum return to ``@``, only the wall clock
-can. A kernel regression on BLAS shows in its bytes only under another
-thread count, which one test in ``test_estimators.py`` sets up.
+can. Moments or a kernel regression on BLAS show in their bytes only under
+another thread count, which two tests in ``test_estimators.py`` set up.
 """
 
 import ast
@@ -42,6 +43,11 @@ def blas_uses(source: str, function: str) -> list[str]:
 def test_exact_dot_stays_off_blas():
     source = Path(matchbench.estimators.__file__).read_text()
     assert blas_uses(source, "_exact_dot4") == []
+
+
+def test_moments_stay_off_blas():
+    source = Path(matchbench.estimators.__file__).read_text()
+    assert blas_uses(source, "compute_moments") == []
 
 
 def test_kernel_regression_stays_off_blas():

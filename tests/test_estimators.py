@@ -1,7 +1,10 @@
+import errno
 import json
 import math
+import mmap
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -95,6 +98,20 @@ class TestComputeMoments:
             assert np.linalg.eigvalsh(m.Syy).min() >= -1e-12
             bound = np.sqrt(np.outer(np.diag(m.Sxx), np.diag(m.Syy)))
             assert np.all(np.abs(m.Sxy) <= bound + 1e-12)
+
+    def test_moment_reports_do_not_depend_on_blas_threads(self, fresh_python):
+        # a one-column side's BLAS product is a length-n dot that OpenBLAS
+        # splits by its thread count; it moved Syy, cca and ols's constraint_B
+        script = (
+            "import json\n"
+            "from matchbench import cca, compute_moments, counterexample_market, ols_index, simulate_market\n"
+            "sample = simulate_market(counterexample_market(), 100_000, 8014121539892845151)\n"
+            "moments = compute_moments(sample)\n"
+            "print(json.dumps([[S.tobytes().hex() for S in (moments.Sxx, moments.Syy, moments.Sxy)],\n"
+            "                  cca(moments).to_json_dict(), ols_index(sample).to_json_dict()], sort_keys=True))"
+        )
+        one, two = (fresh_python("-c", script, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+        assert one == two
 
 
 class TestCca:
@@ -353,11 +370,20 @@ def broadcast_kernel_regression(sample, points, bandwidths):
 
 
 def traced_peak(fn, *args):
-    """The peak of the memory tracemalloc traces while ``fn(*args)`` runs, in bytes."""
+    """The peak of the memory tracemalloc traces while ``fn(*args)`` runs, plus
+    the anonymous maps it makes, which tracemalloc does not see, in bytes."""
+    maps = []
+    real = mmap.mmap
+
+    def recording(fileno, length, *rest):
+        maps.append(length)
+        return real(fileno, length, *rest)
+
     tracemalloc.start()
     try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
+        with mock.patch.object(mmap, "mmap", recording):
+            fn(*args)
+        return tracemalloc.get_traced_memory()[1] + sum(maps)
     finally:
         tracemalloc.stop()
 
@@ -431,6 +457,17 @@ class TestKernelRegression:
         # less the transposed copy of xs; numpy's pairwise order of 9 terms,
         # with 8 partial sums per worker, took 1.67 blocks
         assert peak - dx * n * 8 <= 1.2 * chunk * n * 8
+
+    def test_unmappable_buffer_is_out_of_memory(self, rng, monkeypatch):
+        # the block buffer is an anonymous map; a map the system refuses is
+        # the MemoryError np.empty raised, which the commands exit 3 on
+        def refuse(*args):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        sample = random_sample(rng, n=200, dx=2, dy=1)
+        with pytest.raises(MemoryError, match="kernel regression buffer"):
+            kernel_regression(sample, [[0.0, 0.0]], [0.3, 0.3])
 
     @pytest.mark.parametrize("points", [[[0.1], [0.2]], [0.1, 0.2, 0.3], np.zeros((2, 2, 2))],
                              ids=["one_column", "three_values", "three_dims"])

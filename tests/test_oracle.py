@@ -61,9 +61,12 @@ class TestClosedForms:
         assert closed.to_json_dict() == closed_form_counterexample().to_json_dict()
 
     def test_non_gaussian_market_is_refused(self):
-        # closed_form knows the benchmark market and Gaussian markets only
+        # closed_form knows the benchmark market and two-attribute Gaussian markets only
         with pytest.raises(ValueError, match="P components must all be gaussian"):
             closed_form(EXP_EXP_MARKET)
+        with pytest.raises(ValueError, match="^market: .* got dx = 3$"):
+            closed_form(MarketSpec(dx=3, dy=1, alpha=[1.0, 1.0, 1.0], beta=[1.0],
+                                   p_components=(gaussian(1.0),) * 3, q_components=(gaussian(1.0),)))
 
 
 class TestMatchedOutcome:

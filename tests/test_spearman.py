@@ -2,6 +2,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.optimize import minimize
 
 from matchbench import (
     DegenerateIndexError,
+    EstimatorResult,
     MatchedSample,
     cca,
     compute_moments,
@@ -32,7 +34,6 @@ from matchbench.estimators import (
     _exact_dot4,
     _nelder_mead,
     _rank_product_mean,
-    _rank_search,
     _unit_from_angles,
 )
 
@@ -45,6 +46,12 @@ def comonotone_sample(n: int) -> MatchedSample:
 def anti_comonotone_sample(n: int) -> MatchedSample:
     values = np.arange(n, dtype=float).reshape(-1, 1)
     return MatchedSample(xs=values, ys=-values)
+
+
+def search_alone(sample: MatchedSample, restarts: int, seed: int) -> EstimatorResult:
+    """The restarts and the grid of ``spearman_estimate``, with no arc to answer first."""
+    with mock.patch.object(estimators, "_comonotone_arc", lambda s: None):
+        return spearman_estimate(sample, restarts, seed)
 
 
 class TestObjective:
@@ -172,7 +179,7 @@ class TestEstimate:
     def test_counterexample_recovery_smoke(self):
         # the search alone: spearman_estimate answers this sample from its arc
         sample = simulate_market(counterexample_market(), 10_000, seed=23)
-        result = _rank_search(sample, 4, 0)
+        result = search_alone(sample, 4, 0)
         ratio = result.alpha_hat[1] / result.alpha_hat[0]
         assert abs(ratio - 1.0) < 0.1
         assert result.diagnostics["grid"] is not None
@@ -203,7 +210,7 @@ class TestEstimate:
 
     def test_restarts_report_convergence(self):
         sample = simulate_market(counterexample_market(), 2_000, seed=31)
-        runs = [_rank_search(sample, 3, 7).diagnostics for _ in range(2)]
+        runs = [search_alone(sample, 3, 7).diagnostics for _ in range(2)]
         assert runs[0]["objective_evaluations"] == runs[1]["objective_evaluations"]
         restarts = [o for o in runs[0]["local_optima"] if o["source"].startswith("restart")]
         assert len(restarts) == 3
@@ -294,7 +301,7 @@ PINNED_OBJECTIVE = 0.3333166683331667
 @pytest.mark.parametrize("seed", sorted(PINNED_SEARCH))
 def test_search_pinned_on_benchmark_market(seed):
     sample = simulate_market(counterexample_market(), 10_000, seed=seed)
-    result = _rank_search(sample, 2, 0)
+    result = search_alone(sample, 2, 0)
     assert result.diagnostics["alpha_argmax"].tobytes().hex() == PINNED_ALPHA
     assert result.objective == PINNED_OBJECTIVE
     assert result.diagnostics["grid"]["refined_centers"] == PINNED_SEARCH[seed]
@@ -310,7 +317,7 @@ def _assert_arc_or_search(sample: MatchedSample, restarts: int = 1, seed: int = 
     arc = result.diagnostics["argmax_interval"]
     bound = spearman_upper_bound(sample.n)
     if arc is None:
-        search = _rank_search(sample, restarts, seed)
+        search = search_alone(sample, restarts, seed)
         assert result.alpha_hat.tobytes() == search.alpha_hat.tobytes()
         assert result.beta_hat.tobytes() == search.beta_hat.tobytes()
         assert json.dumps(result.to_json_dict()) == json.dumps(search.to_json_dict())
@@ -386,7 +393,7 @@ class TestComonotoneArc:
         monkeypatch.setattr(estimators, "_comonotone_arc", lambda s: (1.0, 1.2))
         result = spearman_estimate(sample, restarts=1)
         assert result.diagnostics["argmax_interval"] is None
-        assert json.dumps(result.to_json_dict()) == json.dumps(_rank_search(sample, 1, 0).to_json_dict())
+        assert json.dumps(result.to_json_dict()) == json.dumps(search_alone(sample, 1, 0).to_json_dict())
 
     def test_half_circle_at_n_2(self):
         # one difference, (-1, 1) at angle 3 pi/4: the arc is the half circle about it
@@ -404,6 +411,14 @@ class TestComonotoneArc:
         assert result.diagnostics["argmax_interval"] is None
         assert result.diagnostics["gap"] > 0
         _assert_arc_or_search(read, restarts=2)
+
+    def test_arc_and_search_report_the_same_diagnostics_keys(self):
+        sample = simulate_market(counterexample_market(), 2_000, seed=31)
+        arc = spearman_estimate(sample, restarts=1)
+        search = search_alone(sample, 1, 0)
+        assert arc.diagnostics["argmax_interval"] is not None and search.diagnostics["argmax_interval"] is None
+        assert list(arc.diagnostics) == list(search.diagnostics)
+        assert list(arc.to_json_dict()["diagnostics"]) == list(search.to_json_dict()["diagnostics"])
 
     @pytest.mark.parametrize("seed", [10, 11, 12, 13, 14])
     def test_benchmark_market_at_one_hundred_thousand(self, seed):
