@@ -82,9 +82,11 @@ class ExperimentConfig:
         _count("spearman.restarts", self.restarts, 0)
         if not isinstance(self.methods, (list, tuple)) or not self.methods:
             raise ConfigError(f"methods: must be a non-empty list of method names, got {self.methods!r}")
-        for m in self.methods:
+        for k, m in enumerate(self.methods):
             if m not in ALL_METHODS:
                 raise ConfigError(f"methods: unknown method {m!r} (choose from {ALL_METHODS})")
+            if m in self.methods[:k]:
+                raise ConfigError(f"methods: method names must be distinct, got {m!r} more than once")
         # only a 1x1 market (two signs) and a 2x1 market (the angular grid) have candidates without restarts
         shape = (self.market.dx, self.market.dy)
         if "spearman" in self.methods and self.restarts == 0 and shape not in ((1, 1), (2, 1)):
@@ -386,7 +388,7 @@ def cmd_benchmark(args) -> int:
     write_csv(out / "benchmark_long.csv", ["method", "n", "replication", "angular_error", "ratio", "objective"], long_rows)
 
     table_rows = []
-    for method in sorted(set(config.methods)):
+    for method in sorted(config.methods):
         for n in sorted(config.sweep):
             errs = [r["angular_error"] for r in records if r["method"] == method and r["n"] == n]
             ratios = [r["ratio"] for r in records if r["method"] == method and r["n"] == n and r["ratio"] is not None]

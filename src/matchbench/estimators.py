@@ -12,7 +12,6 @@ in the diagnostics.
 from __future__ import annotations
 
 import math
-import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,10 +28,9 @@ _EIGEN_FLOOR_RATIO = 1e-10
 _MOMENTS_OVERFLOW = "sample: second moments overflow a float; rescale the columns"
 # worker processes of the ``benchmark`` sweep, and threads of the kernel regression's point blocks
 WORKERS = min(4, os.cpu_count() or 1)
-# kernel-regression tiles split the n columns evenly, each at least this wide
-# unless n is narrower: numpy's loops ran at half speed on tiles under 4096
-# columns, and a worker's 10 rows at n = 1e5, with its spare tile, fit in a 2 MB L2
-_TILE = 8192
+# weights in a kernel-regression block, unless one row of n is wider: a
+# worker's block and its spare (2 MiB) fit a core's L2
+_BLOCK = 2**17
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,6 +420,9 @@ def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) 
     bound minus the objective in exact units of 1 / (4 n (n + 1)^2): 0
     exactly when the estimate is a maximizer of a sample with no ties in y.
     """
+    for side, columns in (("x", sample.xs), ("y", sample.ys)):
+        if np.all(columns == columns[0]):
+            raise DegenerateIndexError(f"every {side} attribute is constant, so every {side}-side index is")
     x_ranks = _ranker(sample.xs)
     y_ranks = _ranker(sample.ys)
     n = sample.n
@@ -540,9 +541,8 @@ def kernel_regression(sample: MatchedSample, points, bandwidths) -> np.ndarray:
     attribute order, and sums each row with numpy's pairwise sum, never
     BLAS, so every output depends on its own point alone, bit for bit: not
     on the block rows, the worker count or the BLAS threads. Blocks of
-    points go to ``WORKERS`` threads, which share a budget of 2e6 weights;
-    each forms its block in one buffer a column tile at a time, so the
-    elementwise work stays in cache.
+    points go to ``WORKERS`` threads; each forms a block of ``_BLOCK``
+    weights in its own buffer, so the elementwise work stays in cache.
     """
     cols = np.ascontiguousarray(sample.xs.T)
     dx, n = cols.shape
@@ -554,47 +554,30 @@ def kernel_regression(sample: MatchedSample, points, bandwidths) -> np.ndarray:
     if h.shape != (dx,) or not np.all(np.isfinite(h) & (h > 0)):
         raise NumericalError(f"bandwidth degenerate: need {dx} finite positive bandwidths, got {h.tolist()}")
     out = np.empty(pts.shape[0])
-    # the workers share the budget, and each gets a block when there are few points
-    rows = max(1, min(int(2e6 // max(1, n)) // WORKERS, -(-pts.shape[0] // WORKERS)))
+    rows = max(1, _BLOCK // n)
     starts = range(0, pts.shape[0], rows)
     workers = max(1, min(WORKERS, len(starts)))
-    width = -(-n // max(1, n // _TILE))
-    tiles = [slice(c, c + width) for c in range(0, n, width)]
     # Allocated here, not in the workers: freed memory that a worker thread's
-    # malloc arena took stays in the process. An anonymous map, unmapped when
-    # freed: a freed malloc block this size raises glibc's mmap threshold, and
-    # the next call's buffer then stays resident in the untrimmed heap.
-    try:
-        block = mmap.mmap(-1, workers * rows * n * 8)
-    except OSError as exc:  # what np.empty reports as MemoryError
-        raise MemoryError(f"kernel regression buffer: {exc}") from exc
-    buffers = np.frombuffer(block, dtype=float).reshape(workers, rows, n)
-    # The sum of squares builds up in the weights, which hold the first
-    # column's term; each later column's term is formed in a spare tile and
-    # added straight in, in attribute order.
-    spares = np.empty((workers, rows, width if dx > 1 else 0))
+    # malloc arena took stays in the process.
+    buffers = np.empty((workers, min(dx, 2), rows, n))
 
     def fit(first: int) -> None:
-        weights, spare = buffers[first], spares[first]
+        weights, spare = buffers[first, 0], buffers[first, -1]
         for start in starts[first::workers]:
             block = pts[start : start + rows]
-            w = weights[: block.shape[0]]
-            peak = np.full(block.shape[0], -np.inf)
-            for tile in tiles:
-                part = w[:, tile]
-                later = spare[: part.shape[0], : part.shape[1]]
-                for j in range(dx):
-                    z = np.subtract(block[:, j, None], cols[j, tile], out=later if j else part)
-                    z /= h[j]
-                    z *= z
-                    if j:
-                        part += z
-                part *= -0.5
-                np.maximum(peak, part.max(axis=1), out=peak)
-            for tile in tiles:
-                part = w[:, tile]
-                part -= peak[:, None]
-                np.exp(part, out=part)
+            w, later = weights[: block.shape[0]], spare[: block.shape[0]]
+            # The sum of squares builds up in the weights, which hold the first
+            # column's term; each later column's term is formed in the spare and
+            # added straight in, in attribute order.
+            for j in range(dx):
+                z = np.subtract(block[:, j, None], cols[j], out=later if j else w)
+                z /= h[j]
+                z *= z
+                if j:
+                    w += z
+            w *= -0.5
+            w -= w.max(axis=1)[:, None]
+            np.exp(w, out=w)
             # full-row pairwise sums: a BLAS product would round by its thread count
             den = w.sum(axis=1)
             w *= y

@@ -58,7 +58,7 @@ class TestConfig:
         changed = _apply_overrides(config, argparse.Namespace(n=50, seed=3, methods="spearman,mrs"))
         assert (changed.n, changed.seed, changed.methods) == (50, 3, ("spearman", "mrs"))
         assert (changed.sweep, changed.replications, changed.restarts) == ((100, 200), 2, 4)
-        for bad in ({"n": 1}, {"methods": "cca,pca"}):
+        for bad in ({"n": 1}, {"methods": "cca,pca"}, {"methods": "cca,ols,cca"}):
             args = argparse.Namespace(**{"n": None, "seed": None, "methods": None, **bad})
             with pytest.raises(ConfigError):
                 _apply_overrides(config, args)
@@ -448,6 +448,24 @@ class TestEstimate:
         assert rc == 3
         assert "all-zero x weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_constant_side_spearman_is_numerical_error(self, tmp_path, capsys, side):
+        # cca, ols and mrs exit 3 on such a sample; spearman wrote arbitrary weights
+        cfg = write_config(tmp_path / "cfg.json")
+        rng = np.random.default_rng(4)
+        xs, ys = rng.normal(size=(300, 2)), np.full((300, 1), 0.5)
+        if side == "x":
+            xs, ys = np.ones((300, 2)), rng.normal(size=(300, 1))
+        sample_path = tmp_path / "sample.csv"
+        MatchedSample(xs=xs, ys=ys).to_csv(sample_path)
+        out = tmp_path / "o"
+        rc = main(["estimate", "--config", str(cfg), "--sample", str(sample_path),
+                   "--methods", "spearman", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: every {side} attribute is constant, so every {side}-side index is\n")
+        assert not (out / "estimate_spearman.json").exists()
+
     @pytest.mark.parametrize("method", ["cca", "ols", "mrs"])
     def test_overflowing_moments_are_config_error(self, tmp_path, capsys, method):
         cfg = write_config(tmp_path / "cfg.json")
@@ -743,6 +761,14 @@ class TestBenchmark:
         out = tmp_path / "o"
         assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
         assert "sweep: sample sizes must be distinct, got 500 more than once" in capsys.readouterr().err
+        assert not (out / "benchmark.csv").exists() and not (out / "benchmark_long.csv").exists()
+
+    def test_repeated_method_refused(self, tmp_path, capsys):
+        # a repeated method counted each run twice in the replications and the sd of benchmark.csv
+        cfg = write_config(tmp_path / "cfg.json", sweep=[1000], replications=2, seed=3, methods=["cca", "cca"])
+        out = tmp_path / "o"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "methods: method names must be distinct, got 'cca' more than once" in capsys.readouterr().err
         assert not (out / "benchmark.csv").exists() and not (out / "benchmark_long.csv").exists()
 
     def test_requires_sweep(self, tmp_path):

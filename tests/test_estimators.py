@@ -1,10 +1,7 @@
-import errno
 import json
 import math
-import mmap
 import sys
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -370,30 +367,27 @@ def broadcast_kernel_regression(sample, points, bandwidths):
 
 
 def traced_peak(fn, *args):
-    """The peak of the memory tracemalloc traces while ``fn(*args)`` runs, plus
-    the anonymous maps it makes, which tracemalloc does not see, in bytes."""
-    maps = []
-    real = mmap.mmap
-
-    def recording(fileno, length, *rest):
-        maps.append(length)
-        return real(fileno, length, *rest)
-
+    """The peak of the memory tracemalloc traces while ``fn(*args)`` runs, in bytes."""
     tracemalloc.start()
     try:
-        with mock.patch.object(mmap, "mmap", recording):
-            fn(*args)
-        return tracemalloc.get_traced_memory()[1] + sum(maps)
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 class TestKernelRegression:
-    @pytest.mark.parametrize("dx", [1, 2, 3])
-    def test_bit_identical_to_broadcast_form(self, rng, dx):
-        # n = 2e4 puts 100 points in a block, so 250 points take three blocks
-        sample = random_sample(rng, n=20_000, dx=dx, dy=2)
-        points = 1.5 * rng.normal(size=(250, dx))
+    @pytest.mark.parametrize("dx, n, count", [
+        *[pytest.param(dx, 20_000, 250, id=f"{dx}") for dx in (1, 2, 3)],
+        *[pytest.param(dx, n, count, id=f"{dx}-n{n}")
+          for n, count in [(1_000, 250), (estimators._BLOCK + 1, 9)] for dx in (1, 2, 3)],
+    ])
+    def test_bit_identical_to_broadcast_form(self, rng, dx, n, count):
+        # n = 2e4 puts 6 points in a block and n = 1e3 131, so 250 points end
+        # in a short block; past _BLOCK columns a block is one point; at dx = 1
+        # the weights are the only buffer plane
+        sample = random_sample(rng, n=n, dx=dx, dy=2)
+        points = 1.5 * rng.normal(size=(count, dx))
         h = 1.06 * sample.xs.std(axis=0) * sample.n ** -0.2
         expected = broadcast_kernel_regression(sample, points, h)
         assert np.array_equal(kernel_regression(sample, points, h), expected)
@@ -418,8 +412,8 @@ class TestKernelRegression:
 
     @pytest.mark.parametrize("workers", [1, 3, 5])
     def test_bytes_do_not_depend_on_worker_count(self, rng, monkeypatch, workers):
-        # 100 points at n = 5e4: a budget of 40 rows, so 3 to 13 blocks; five
-        # workers on fewer cores, switching often, each write their own rows
+        # 100 points at n = 5e4: two rows a block, so 50 blocks; five workers
+        # on fewer cores, switching often, each write their own rows
         sample = random_sample(rng, n=50_000, dx=2, dy=1)
         points = rng.normal(size=(100, 2))
         h = 1.06 * sample.xs.std(axis=0) * sample.n ** -0.2
@@ -434,21 +428,21 @@ class TestKernelRegression:
         assert got.tobytes() == expected.tobytes()
 
     def test_workers_share_one_block_of_weights(self, rng):
-        # the mrs fit at n = 1e5: 400 points, a budget of 20 rows of weights
-        n, chunk = 100_000, 20
+        # the mrs fit at n = 1e5: 400 points, one row of weights per block, and
+        # each worker forms its blocks in its own weights and spare
+        n, planes = 100_000, 2
         sample = random_sample(rng, n=n, dx=2, dy=1)
         points = rng.normal(size=(400, 2))
         h = 1.06 * sample.xs.std(axis=0) * n ** -0.2
         peak = traced_peak(kernel_regression, sample, points, h)
-        # keeping the previous block's weights while forming the next took
-        # 3.1 blocks, and a second block-sized buffer for the later terms 2.1
-        assert peak <= 1.3 * chunk * n * 8
+        # less the transposed copy of xs
+        assert peak - 2 * n * 8 <= 1.3 * estimators.WORKERS * planes * n * 8
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_many_attributes_share_one_block_of_weights(self, rng, monkeypatch, workers):
-        # n = 1e5 at dx = 9: the workers share a budget of 20 rows of weights,
-        # whatever their count, and each adds its later columns in one spare tile
-        n, chunk, dx = 100_000, 20, 9
+        # n = 1e5 at dx = 9: each worker adds its eight later columns in its one
+        # spare, so its two buffer planes do not grow with dx
+        n, planes, dx = 100_000, 2, 9
         sample = random_sample(rng, n=n, dx=dx, dy=1)
         points = rng.normal(size=(40, dx))
         h = 1.06 * sample.xs.std(axis=0) * n ** -0.2
@@ -456,18 +450,7 @@ class TestKernelRegression:
         peak = traced_peak(kernel_regression, sample, points, h)
         # less the transposed copy of xs; numpy's pairwise order of 9 terms,
         # with 8 partial sums per worker, took 1.67 blocks
-        assert peak - dx * n * 8 <= 1.2 * chunk * n * 8
-
-    def test_unmappable_buffer_is_out_of_memory(self, rng, monkeypatch):
-        # the block buffer is an anonymous map; a map the system refuses is
-        # the MemoryError np.empty raised, which the commands exit 3 on
-        def refuse(*args):
-            raise OSError(errno.ENOMEM, "Cannot allocate memory")
-
-        monkeypatch.setattr(mmap, "mmap", refuse)
-        sample = random_sample(rng, n=200, dx=2, dy=1)
-        with pytest.raises(MemoryError, match="kernel regression buffer"):
-            kernel_regression(sample, [[0.0, 0.0]], [0.3, 0.3])
+        assert peak - dx * n * 8 <= 1.3 * workers * planes * n * 8
 
     @pytest.mark.parametrize("points", [[[0.1], [0.2]], [0.1, 0.2, 0.3], np.zeros((2, 2, 2))],
                              ids=["one_column", "three_values", "three_dims"])

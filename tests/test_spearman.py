@@ -201,6 +201,18 @@ class TestEstimate:
         assert np.max(np.abs(result.alpha_hat - normalize_weights(spec.alpha))) < 0.1
         assert np.max(np.abs(result.beta_hat - normalize_weights(spec.beta))) < 0.1
 
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_side_without_a_varying_attribute_refused(self, side):
+        # every index of that side is constant, so no weights can be read off its ranks
+        rng = np.random.default_rng(11)
+        xs, ys = rng.normal(size=(300, 2)), rng.normal(size=(300, 2))
+        if side == "x":
+            xs[:] = [1.5, -2.0]
+        else:
+            ys[:] = 0.5
+        with pytest.raises(DegenerateIndexError, match=f"every {side} attribute is constant"):
+            spearman_estimate(MatchedSample(xs, ys), restarts=2, seed=0)
+
     def test_deterministic_given_seed(self):
         sample = simulate_market(counterexample_market(), 2_000, seed=31)
         r1 = spearman_estimate(sample, restarts=3, seed=7)
@@ -373,6 +385,11 @@ class TestComonotoneArc:
                 path = Path(tmp) / "sample.csv"
                 sample.to_csv(path)
                 sample = MatchedSample.from_csv(path)
+        if np.all(sample.xs == sample.xs[0]) or np.all(sample.ys == sample.ys[0]):
+            # a side with no varying attribute has only constant indexes, which are refused
+            with pytest.raises(DegenerateIndexError, match="attribute is constant"):
+                spearman_estimate(sample, 1, 0)
+            return
         _assert_arc_or_search(sample)
 
     @pytest.mark.parametrize("rows, taken", [
