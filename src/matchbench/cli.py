@@ -186,18 +186,18 @@ def _out_dir(args, config: ExperimentConfig | None = None) -> Path:
 
 
 def _sample_summary(sample: MatchedSample, spec: MarketSpec, seed: int) -> dict:
-    u = sample.x_index(spec.alpha)
-    v = sample.y_index(spec.beta)
-    return {
-        "n": sample.n,
-        "dx": sample.dx,
-        "dy": sample.dy,
-        "seed": seed,
-        "index_variance_x": float(np.var(u)),
-        "index_variance_y": float(np.var(v)),
-        "tie_count_x": int(sample.n - np.unique(u).size),
-        "tie_count_y": int(sample.n - np.unique(v).size),
-    }
+    """Size, seed, and each index's variance and tie count, the indices
+    formed one at a time so that only one is held."""
+    summary = {"n": sample.n, "dx": sample.dx, "dy": sample.dy, "seed": seed}
+    for side, index_of, weights in (("x", sample.x_index, spec.alpha), ("y", sample.y_index, spec.beta)):
+        index = index_of(weights)
+        # the variance first, in row order, since its float sum depends on the order
+        summary[f"index_variance_{side}"] = float(np.var(index))
+        index.sort()
+        # simulate_market refuses a non-finite index, so equal neighbours are exactly np.unique's repeats
+        summary[f"tie_count_{side}"] = int(np.count_nonzero(index[1:] == index[:-1]))
+        del index  # freed before the next index is formed
+    return summary
 
 
 def cmd_simulate(args) -> int:

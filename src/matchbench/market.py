@@ -22,8 +22,9 @@ from .distributions import DistributionModel, seed_streams
 from .errors import DegenerateIndexError
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-# rows formatted per write in to_csv, so a large sample never becomes one string
-_CSV_BLOCK_ROWS = 65536
+# rows formatted per write in to_csv: a few hundred KiB of Python floats and
+# text whatever the sample size (writing speed was flat from 256 to 65,536)
+_CSV_BLOCK_ROWS = 4096
 
 
 def real_array(name: str, value) -> np.ndarray:
@@ -227,14 +228,14 @@ class MatchedSample:
     def to_csv(self, path) -> None:
         """Write a header and one row per couple, each value as ``%.17g``:
         the bytes ``csv.writer`` gives (no quoting, CRLF line ends),
-        formatted a block of rows at a time."""
+        formatted a block of rows at a time from the rows of xs and ys."""
         header = [f"x{j + 1}" for j in range(self.dx)] + [f"y{j + 1}" for j in range(self.dy)]
-        data = np.hstack([self.xs, self.ys])
-        row = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
+        row = ",".join(["%.17g"] * len(header)) + "\r\n"
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
             for start in range(0, self.n, _CSV_BLOCK_ROWS):
-                block = data[start : start + _CSV_BLOCK_ROWS]
+                rows = slice(start, start + _CSV_BLOCK_ROWS)
+                block = np.hstack([self.xs[rows], self.ys[rows]])
                 fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
     @staticmethod

@@ -409,28 +409,18 @@ def numeric_counterexample(spec: MarketSpec, tol: float, terms=()) -> Counterexa
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean of ``values`` and its standard error."""
-    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
+    """Sample mean of ``values`` and its standard error, bit for bit those
+    of ``np.mean`` and ``np.std(ddof=1)``, found in place: ``values`` is
+    overwritten."""
+    n = values.size
+    mean = np.add.reduce(values) / n
+    values -= mean
+    np.square(values, out=values)
+    return float(mean), float(np.sqrt(np.add.reduce(values) / (n - 1)) / math.sqrt(n))
 
 
-def _cov_stderrs(x1, x2, t) -> tuple[float, float, dict[str, float]]:
-    """Sample covariances of x1 and x2 with t, and their standard errors
-    (the ratio's by the delta method)."""
-    tc = t - t.mean()
-    covs, ses = [], []
-    for name, a in (("cov_x1", x1), ("cov_x2", x2)):
-        cov, se = _mean_stderr((a - a.mean()) * tc)
-        covs.append(cov)
-        ses.append(se)
-        if cov == 0.0:
-            raise NumericalError(f"sample {name} is 0 over {t.size} draws: the ratio's standard error is undefined")
-    ratio = covs[1] / covs[0]
-    stderrs = {
-        "cov_x1": ses[0],
-        "cov_x2": ses[1],
-        "ratio_cca": abs(ratio) * math.hypot(ses[0] / covs[0], ses[1] / covs[1]),
-    }
-    return covs[0], covs[1], stderrs
+# rows of a Monte Carlo column formed per step, so a row's temporaries stay small
+_MC_BLOCK_ROWS = 2**15
 
 
 def monte_carlo_counterexample(spec: MarketSpec, n: int, seed: int, terms=()) -> CounterexampleReport:
@@ -442,10 +432,24 @@ def monte_carlo_counterexample(spec: MarketSpec, n: int, seed: int, terms=()) ->
     """
     sample = simulate_market(spec, n, seed)
     x1, x2, t = sample.xs[:, 0], sample.xs[:, 1], sample.y_index(spec.beta)
+    m1, m2, mt = x1.mean(), x2.mean(), t.mean()
+    rows = [
+        ("cov_x1", lambda x1, x2, t: (x1 - m1) * (t - mt)),
+        ("cov_x2", lambda x1, x2, t: (x2 - m2) * (t - mt)),
+        *((key, fn) for key, fn, _, _ in terms),
+    ]
+    # one n-vector holds each row in turn, filled a block at a time and consumed by _mean_stderr
+    values = np.empty(n)
     means, stderrs = {}, {}
-    for key, fn, _, _ in terms:
-        means[key], stderrs[key] = _mean_stderr(fn(x1, x2, t))
-    cov_x1, cov_x2, cov_stderrs = _cov_stderrs(x1, x2, t)
-    return CounterexampleReport.from_covariances(
-        spec.alpha, cov_x1, cov_x2, "monte_carlo", means, {**stderrs, **cov_stderrs}
-    )
+    for key, fn in rows:
+        for start in range(0, n, _MC_BLOCK_ROWS):
+            block = slice(start, start + _MC_BLOCK_ROWS)
+            values[block] = fn(x1[block], x2[block], t[block])
+        means[key], stderrs[key] = _mean_stderr(values)
+    cov_x1, cov_x2 = means.pop("cov_x1"), means.pop("cov_x2")
+    for name, cov in (("cov_x1", cov_x1), ("cov_x2", cov_x2)):
+        if cov == 0.0:
+            raise NumericalError(f"sample {name} is 0 over {n} draws: the ratio's standard error is undefined")
+    # the ratio's standard error by the delta method
+    stderrs["ratio_cca"] = abs(cov_x2 / cov_x1) * math.hypot(stderrs["cov_x1"] / cov_x1, stderrs["cov_x2"] / cov_x2)
+    return CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "monte_carlo", means, stderrs)

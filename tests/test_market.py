@@ -484,6 +484,18 @@ class TestCsvRoundTrip:
         # a list of Python floats per row took 9.3 times the array
         assert peak <= 2 * n * 3 * 8
 
+    def test_writing_peaks_under_a_bound_that_does_not_grow_with_n(self, tmp_path):
+        sample = simulate_market(counterexample_market(), 200_000, seed=17)
+        sample.to_csv(tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            sample.to_csv(tmp_path / "sample.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole-sample hstack and 65,536-row blocks of Python floats read 14.7 MiB
+        assert peak < 1.5 * 2**20
+
     def test_values_and_bytes(self, tmp_path):
         spec = counterexample_market()
         sample = simulate_market(spec, 200, seed=13)

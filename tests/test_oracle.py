@@ -1,11 +1,13 @@
 import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from matchbench import (
     DistributionModel,
@@ -21,9 +23,11 @@ from matchbench import (
     numeric_counterexample,
     quad_integrate,
     rademacher,
+    simulate_market,
     uniform01,
 )
 from matchbench import oracle
+from matchbench.cli import _gaussian_comparison_market
 from matchbench.oracle import QuadratureStats, population_transfer_map
 
 E2 = math.exp(-2.0)
@@ -254,6 +258,61 @@ class TestTripleAgreement:
         # both draws share a coin value, so the sample cov_x1 is exactly 0
         with pytest.raises(NumericalError, match="cov_x1"):
             monte_carlo_counterexample(counterexample_market(), 2, seed=2, terms=oracle._TERMS)
+
+
+def reference_monte_carlo(spec, n, seed, terms):
+    """The Monte Carlo column from whole-sample rows: each covariance
+    product and term over all n draws at once, then np.mean and
+    np.std(ddof=1)."""
+    sample = simulate_market(spec, n, seed)
+    x1, x2, t = sample.xs[:, 0], sample.xs[:, 1], sample.y_index(spec.beta)
+    tc = t - t.mean()
+    rows = {"cov_x1": (x1 - x1.mean()) * tc, "cov_x2": (x2 - x2.mean()) * tc,
+            **{key: fn(x1, x2, t) for key, fn, _, _ in terms}}
+    means = {key: float(np.mean(row)) for key, row in rows.items()}
+    stderrs = {key: float(np.std(row, ddof=1) / math.sqrt(n)) for key, row in rows.items()}
+    cov_x1, cov_x2 = means.pop("cov_x1"), means.pop("cov_x2")
+    stderrs["ratio_cca"] = abs(cov_x2 / cov_x1) * math.hypot(stderrs["cov_x1"] / cov_x1, stderrs["cov_x2"] / cov_x2)
+    return oracle.CounterexampleReport.from_covariances(spec.alpha, cov_x1, cov_x2, "monte_carlo", means, stderrs)
+
+
+def traced_peak(fn, *args):
+    """The peak of the memory tracemalloc traces while ``fn(*args)`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MARKETS_AND_TERMS = [(counterexample_market(), oracle._TERMS), (_gaussian_comparison_market(), ())]
+B = oracle._MC_BLOCK_ROWS
+
+
+class TestMonteCarloColumn:
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.integers(2, 300), elements=st.floats(-1e100, 1e100)),
+           st.sampled_from([0.0, 1e6, -3e12, 1e15]))
+    def test_mean_stderr_matches_numpy_bit_for_bit(self, values, offset):
+        values = values + offset
+        expected = (float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size)))
+        got = oracle._mean_stderr(values.copy())
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("n", [2, B - 1, B, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("spec, terms", MARKETS_AND_TERMS, ids=["benchmark", "gaussian"])
+    def test_blocked_rows_match_whole_sample_formulas(self, spec, terms, n):
+        # seed 1's two benchmark-market draws differ in their coin, so cov_x1 is not 0
+        expected = reference_monte_carlo(spec, n, 1, terms).to_json_dict()
+        assert monte_carlo_counterexample(spec, n, 1, terms).to_json_dict() == expected
+
+    @pytest.mark.parametrize("spec, terms", MARKETS_AND_TERMS, ids=["benchmark", "gaussian"])
+    def test_peaks_at_the_simulation_floor(self, spec, terms):
+        monte_carlo_counterexample(spec, 1000, 0, terms)
+        floor = traced_peak(simulate_market, spec, 10**6, 0)
+        # whole-sample rows and their temporaries read 54.4 and 53.4 MiB over a 40.1 MiB floor
+        assert traced_peak(monte_carlo_counterexample, spec, 10**6, 0, terms) <= 1.02 * floor
 
 
 class TestTailPrecision:
