@@ -350,24 +350,19 @@ def _ranker(columns: np.ndarray):
 def _comonotone_arc(sample: MatchedSample) -> tuple[float, float] | None:
     """The open arc (lo, hi) of angles t at which the x index
     cos(t) x1 + sin(t) x2 of a dx=2, dy=1 sample rises strictly in y order,
-    or None when that set is empty.
+    or None when that arc is empty or nan.
 
-    There, and only there, the x ranks equal the y ranks, so the
-    rank-product objective at beta = (1,) reaches ``spearman_upper_bound``:
-    the arc is the whole argmax set of a comonotone sample. It needs every
-    difference d of x between rows adjacent in y order to satisfy
-    (cos t, sin t) . d > 0. Such a t is within pi/2 of the direction r from
-    the lowest-y row to the highest, which is the sum of the d's, so every
-    d lies within pi of r and the arc is read off the angles of the d's
-    relative to r with no wrap-around. A tie in y, a zero difference or a
-    zero r leaves the set empty.
+    Geometry only: the rows are ordered by y, and the arc is read off the
+    differences d of x between rows adjacent in that order. It is the set
+    where (cos t, sin t) . d > 0 for every d. Such a t is within pi/2 of
+    the direction r from the lowest-y row to the highest, which is the sum
+    of the d's, so every d lies within pi of r and the arc is read off the
+    angles of the d's relative to r with no wrap-around. Nothing here
+    decides that the sample is comonotone: ``spearman_estimate``'s exact
+    midpoint check does, and it refuses any arc of a sample with a tie in
+    y or in x, as tied average ranks keep the rank dot below the bound.
     """
-    y = sample.ys[:, 0]
-    order = np.argsort(y, kind="stable")
-    ranked = y[order]
-    if np.any(ranked[1:] == ranked[:-1]):
-        return None
-    del ranked
+    order = np.argsort(sample.ys[:, 0])
     # one n-vector at a time, with no n x 2 copy of the sorted rows
     diffs = []
     for j in range(2):
@@ -375,8 +370,6 @@ def _comonotone_arc(sample: MatchedSample) -> tuple[float, float] | None:
         diffs.append((np.diff(col), col[-1] - col[0]))
         del col
     (d0, r0), (d1, r1) = diffs
-    if (r0 == 0.0 and r1 == 0.0) or np.any((d0 == 0.0) & (d1 == 0.0)):
-        return None
     # atan2(r x d, r . d), formed in place
     cross = r0 * d1
     cross -= r1 * d0
@@ -396,11 +389,12 @@ def spearman_estimate(sample: MatchedSample, restarts: int = 32, seed: int = 0) 
 
     One search with up to three candidate sources. On a dx=2, dy=1 sample
     the first is the comonotone arc (``_comonotone_arc``): the open arc of
-    x angles, found by one sort of y, on which the objective attains
-    ``spearman_upper_bound(n)``. Its midpoint is evaluated once, and if its
-    exact value is the bound the search returns it at once, with
+    x angles, found by one sort of y, on which the x index rises in y
+    order. Its midpoint is evaluated once, and that exact check alone
+    decides: if its value is the bound ``spearman_upper_bound(n)``, the
+    arc is the argmax set and the search returns it at once, with
     ``argmax_interval`` (lo, hi, width) and ``objective_evaluations`` 1.
-    A midpoint short of the bound is not counted, and the search goes on
+    Any midpoint short of the bound is not counted, and the search goes on
     as with no arc, with ``argmax_interval`` None: multistart Nelder-Mead
     on spherical angle coordinates (the objective is scale-invariant per
     side, so spheres lose nothing), plus an angular grid sweep with local

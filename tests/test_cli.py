@@ -439,8 +439,11 @@ class TestEstimate:
         np.testing.assert_allclose(payload["alpha"], alpha, atol=1e-10)
 
     def test_saliency_method_matches_saliency_command(self, tmp_path):
-        for affinity in ([[0.6], [0.8]], [[1.0, 2.0], [0.5, 0.3]]):
-            cfg = write_config(tmp_path / "cfg.json", methods=["saliency"], affinity=affinity)
+        # each affinity on a market of its own shape, so the rank-2 matrix runs on a 2x2 market
+        market_2x2 = {**COUNTEREXAMPLE_MARKET, "dy": 2, "beta": [1.0, 0.5],
+                      "q_components": [{"kind": "uniform01"}, {"kind": "uniform01"}]}
+        for market, affinity in ((COUNTEREXAMPLE_MARKET, [[0.6], [0.8]]), (market_2x2, [[1.0, 2.0], [0.5, 0.3]])):
+            cfg = write_config(tmp_path / "cfg.json", market=market, methods=["saliency"], affinity=affinity)
             est, sal = tmp_path / "est", tmp_path / "sal"
             main(["simulate", "--config", str(cfg), "--out", str(est)])
             assert main(["estimate", "--config", str(cfg), "--sample", str(est / "sample.csv"),
@@ -450,6 +453,15 @@ class TestEstimate:
             saliency = json.loads((sal / "saliency.json").read_text())
             for key in ("lambdas", "shares", "rank", "U", "V", "alpha", "beta"):
                 assert estimate[key] == saliency.get(key), key
+
+    def test_empty_methods_override_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        rc = main(["estimate", "--config", str(cfg), "--sample", str(tmp_path / "sample.csv"),
+                   "--methods", "", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "methods: unknown method ''" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_dimension_mismatch_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -801,6 +813,14 @@ class TestBenchmark:
         assert "methods: method names must be distinct, got 'cca' more than once" in capsys.readouterr().err
         assert not (out / "benchmark.csv").exists() and not (out / "benchmark_long.csv").exists()
 
+    def test_empty_methods_override_refused(self, tmp_path, capsys):
+        # an empty override ran the config's methods and exited 0
+        cfg = write_config(tmp_path / "cfg.json", sweep=[200])
+        out = tmp_path / "o"
+        assert main(["benchmark", "--config", str(cfg), "--methods", "", "--out", str(out)]) == 2
+        assert "methods: unknown method ''" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_sweep(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -883,9 +903,11 @@ class TestSaliencyCommand:
         ("estimate", ["--config", "cca-then-empty-row.json"], "affinity matrix has no entries"),
         ("estimate", ["--config", "cca-then-no-affinity.json"],
          "affinity: methods include 'saliency' but no affinity matrix is configured"),
+        ("estimate", ["--config", "cca-then-3x3.json"],
+         "affinity: shape (3, 3) does not match the market's (dx, dy) (2, 1)"),
     ], ids=["missing-csv", "text-csv", "config-without-affinity", "empty-csv", "comment-only-csv",
             "config-one-empty-row", "config-two-empty-rows", "estimate-one-empty-row",
-            "estimate-cca-then-empty-row", "estimate-cca-then-no-affinity"])
+            "estimate-cca-then-empty-row", "estimate-cca-then-no-affinity", "estimate-cca-then-3x3"])
     def test_unusable_matrix_source_is_named(self, tmp_path, capsys, command, source, shown):
         (tmp_path / "text.csv").write_text("1,a\n2,b\n")
         (tmp_path / "empty.csv").write_text("")
@@ -897,6 +919,7 @@ class TestSaliencyCommand:
         # an earlier method must not write its report before the affinity is refused
         write_config(tmp_path / "cca-then-empty-row.json", methods=["cca", "saliency"], affinity=[[]])
         write_config(tmp_path / "cca-then-no-affinity.json", methods=["cca", "saliency"])
+        write_config(tmp_path / "cca-then-3x3.json", methods=["cca", "saliency"], affinity=np.eye(3).tolist())
         sample = ["--sample", str(tmp_path / "sample.csv")] if command == "estimate" else []
         # pytest turns warnings into errors here, so numpy's empty-input warning fails the row
         rc = main([command, source[0], str(tmp_path / source[1]), *sample, "--out", str(tmp_path / "o")])

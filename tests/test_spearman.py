@@ -399,10 +399,23 @@ class TestComonotoneArc:
         ([[0, 0, 0], [1, 0, 1], [0, 0, 2]], False),
     ], ids=["n=2", "repeated-row", "tie-in-y", "zero-span"])
     def test_which_path_answers(self, rows, taken):
-        result = spearman_estimate(_sample(rows), restarts=1)
-        assert (estimators._comonotone_arc(_sample(rows)) is not None) is taken
+        # a tie in y or in x (two rows with equal x, so a zero span) may still give a geometric arc, but
+        # its midpoint misses the bound, uncounted, and the search's own result comes back
+        sample = _sample(rows)
+        result = spearman_estimate(sample, restarts=1)
         assert (result.diagnostics["argmax_interval"] is not None) is taken
-        _assert_arc_or_search(_sample(rows))
+        assert (result.diagnostics["objective_evaluations"] == 1) is taken
+        _assert_arc_or_search(sample)
+
+    @pytest.mark.parametrize("n", [2_000, 100_000])
+    def test_row_order_does_not_move_the_arc(self, n):
+        sample = simulate_market(counterexample_market(), n, seed=17)
+        perm = np.random.default_rng(5).permutation(n)
+        shuffled = MatchedSample(xs=sample.xs[perm], ys=sample.ys[perm])
+        ordered, permuted = (spearman_estimate(s, restarts=1) for s in (sample, shuffled))
+        assert ordered.diagnostics["argmax_interval"] is not None
+        assert ordered.diagnostics["argmax_interval"] == permuted.diagnostics["argmax_interval"]
+        assert ordered.alpha_hat.tobytes() == permuted.alpha_hat.tobytes()
 
     def test_midpoint_that_misses_the_bound_goes_to_the_search(self, monkeypatch):
         # an arc away from the true one, near pi/4: its midpoint is checked, found short, and dropped
